@@ -24,6 +24,11 @@ val stored : 'u t -> 'u Proposal.t list
 (** Every proposal still buffered, including delivered ones retained
     for retransmission until stable. *)
 
+val pending : 'u t -> 'u Proposal.t list
+(** The stored proposals not yet delivered, in ascending id order — the
+    candidates for delivery. Read from an index, so the cost does not
+    grow with the retained payloads or the delivered history. *)
+
 val remove : 'u t -> Proposal.id -> 'u t
 
 (** {1 Delivery bookkeeping} *)
@@ -38,19 +43,30 @@ val note_delivered : 'u t -> Proposal.id -> ordinal:int option -> 'u t
 val note_ordinal : 'u t -> Proposal.id -> int -> 'u t
 (** Record the ordinal of an already-delivered proposal once learned. *)
 
+val learn_ordinals : 'u t -> find:(Proposal.id -> int option) -> 'u t
+(** Apply {!note_ordinal} to every delivered id with no ordinal yet,
+    taking the ordinal from [find]. With [find] answering the lowest
+    ordinal whose oal entry carries the id ({!Oal.first_update_ordinal}),
+    this equals folding {!note_ordinal} over the oal's update entries in
+    ordinal order, at a cost set by the undated ids instead of the oal
+    length times the delivered history. *)
+
 val delivered_ordinal : 'u t -> int -> bool
 val highest_delivered_ordinal : 'u t -> int
 (** -1 when nothing ordered was delivered yet. *)
 
 val dpd : 'u t -> Proposal.id list
-(** Delivered proposal descriptors with no ordinal yet — the [dpd]
-    field carried on no-decision and reconfiguration messages. *)
+(** Delivered proposal descriptors with no ordinal yet, in ascending id
+    order — the [dpd] field carried on no-decision and reconfiguration
+    messages. *)
 
 val ordinal_of_delivered : 'u t -> Proposal.id -> int option
 
-val compact : 'u t -> purged:(int -> bool) -> 'u t
-(** Drop retained payloads of delivered proposals whose ordinal has
-    been purged from the oal (they are stable everywhere). *)
+val compact : 'u t -> below:int -> 'u t
+(** Drop retained payloads of delivered proposals whose ordinal is
+    below [below], the oal's purge frontier (they are stable
+    everywhere). Costs the payloads dropped, not those retained;
+    returns [t] itself when nothing is dropped. *)
 
 (** {1 Undeliverable marks (auto-clearing, Section 4.3)} *)
 

@@ -98,7 +98,10 @@ let deliverable_now ~oal ~buffers ~now_sync ~timed_delay proposal =
 
 let step ~oal ~buffers ~now_sync ~timed_delay =
   let rec round buffers acc =
-    let candidates = Buffers.stored buffers in
+    (* delivered payloads retained for retransmission are never
+       candidates ("already delivered"), so only the pending ones are
+       checked *)
+    let candidates = Buffers.pending buffers in
     let ready =
       List.filter (deliverable_now ~oal ~buffers ~now_sync ~timed_delay)
         candidates

@@ -123,6 +123,24 @@ let find_update t id =
 
 let mem_update t id = Option.is_some (find_update t id)
 
+exception Found of int
+
+(* An ascending walk that stops at the first match, not the index: the
+   index may name a later duplicate, or miss an id a merge of
+   ill-formed wire lists left behind. *)
+let first_update_ordinal t id =
+  match
+    Imap.iter
+      (fun ordinal e ->
+        match e.body with
+        | Update info when Proposal.id_equal info.proposal_id id ->
+          raise_notrace (Found ordinal)
+        | Update _ | Membership _ -> ())
+      t.entries
+  with
+  | () -> None
+  | exception Found ordinal -> Some ordinal
+
 let highest_ordinal t =
   match Imap.max_binding_opt t.entries with
   | Some (ordinal, _) -> ordinal
@@ -141,25 +159,37 @@ let ack_update t id p =
   | Some e ->
     update_entry t e.ordinal (fun e -> { e with acks = Proc_set.add p e.acks })
 
-let ack_all_received t ~received ~by =
-  let ack _ e =
-    match e.body with
-    | Update info when received info.proposal_id ->
-      { e with acks = Proc_set.add by e.acks }
-    | Membership _ ->
-      (* a membership descriptor present in a process's list was, by
-         construction, received by that process *)
-      { e with acks = Proc_set.add by e.acks }
-    | Update _ -> e
+(* Rewrite only the entries [f] changes ([f] returns the entry itself
+   when it leaves it alone); an oal with no change comes back
+   physically equal, with no map rebuilt. *)
+let map_changed t f =
+  let entries =
+    Imap.fold
+      (fun ordinal e acc ->
+        let e' = f e in
+        if e' == e then acc else Imap.add ordinal e' acc)
+      t.entries t.entries
   in
-  { t with entries = Imap.mapi ack t.entries }
+  if entries == t.entries then t else { t with entries }
+
+let ack_all_received t ~received ~by =
+  map_changed t (fun e ->
+      let has =
+        match e.body with
+        | Update info -> received info.proposal_id
+        | Membership _ ->
+          (* a membership descriptor present in a process's list was, by
+             construction, received by that process *)
+          true
+      in
+      if has && not (Proc_set.mem by e.acks) then
+        { e with acks = Proc_set.add by e.acks }
+      else e)
 
 let refresh_stability t ~group =
-  let refresh _ e =
-    if e.known_stable then e
-    else { e with known_stable = Proc_set.subset group e.acks }
-  in
-  { t with entries = Imap.mapi refresh t.entries }
+  map_changed t (fun e ->
+      if e.known_stable || not (Proc_set.subset group e.acks) then e
+      else { e with known_stable = true })
 
 let purge_stable t ~delivered =
   (* the current group survives purging in the [current] field, so a
@@ -262,10 +292,12 @@ let merge ~local ~incoming =
   let entries =
     if incoming.low <= local.low then local.entries
     else
-      Imap.mapi
-        (fun ordinal e ->
-          if ordinal < incoming.low then { e with known_stable = true } else e)
-        local.entries
+      let below, _, _ = Imap.split incoming.low local.entries in
+      Imap.fold
+        (fun ordinal e acc ->
+          if e.known_stable then acc
+          else Imap.add ordinal { e with known_stable = true } acc)
+        below local.entries
   in
   (* merge-path indexing: in steady state the incoming entries repeat
      what local already holds, so check before rebuilding O(log k) of
@@ -278,26 +310,31 @@ let merge ~local ~incoming =
       | Some _ | None -> Idmap.add info.proposal_id ordinal index)
     | Membership _ -> index
   in
-  (* incoming entries are authoritative from incoming.low upwards *)
-  let entries, index =
+  (* incoming entries are authoritative from local.low upwards *)
+  let authoritative =
+    if incoming.low >= local.low then incoming.entries
+    else
+      let _, at, above = Imap.split local.low incoming.entries in
+      match at with Some e -> Imap.add local.low e above | None -> above
+  in
+  let index =
     Imap.fold
-      (fun ordinal inc (acc, index) ->
-        if ordinal < local.low then (acc, index)
-        else
-          let index = index_merged index ordinal inc.body in
-          match Imap.find_opt ordinal acc with
-          | None -> (Imap.add ordinal inc acc, index)
-          | Some mine ->
-            ( Imap.add ordinal
-                {
-                  inc with
-                  acks = Proc_set.union mine.acks inc.acks;
-                  undeliverable = mine.undeliverable || inc.undeliverable;
-                  known_stable = mine.known_stable || inc.known_stable;
-                }
-                acc,
-              index ))
-      incoming.entries (entries, local.index)
+      (fun ordinal inc index -> index_merged index ordinal inc.body)
+      authoritative local.index
+  in
+  (* one walk over both maps, where adding entry by entry would copy a
+     map path per incoming entry *)
+  let entries =
+    Imap.union
+      (fun _ mine inc ->
+        Some
+          {
+            inc with
+            acks = Proc_set.union mine.acks inc.acks;
+            undeliverable = mine.undeliverable || inc.undeliverable;
+            known_stable = mine.known_stable || inc.known_stable;
+          })
+      entries authoritative
   in
   let current =
     match (local.current, incoming.current) with

@@ -77,6 +77,13 @@ val append_membership : t -> group:Proc_set.t -> group_id:Group_id.t -> t * int
 val entry_at : t -> int -> entry option
 val find_update : t -> Proposal.id -> entry option
 val mem_update : t -> Proposal.id -> bool
+
+val first_update_ordinal : t -> Proposal.id -> int option
+(** The lowest ordinal of an update entry carrying the id: the entry an
+    ascending walk of {!entries} meets first. Unlike {!find_update} it
+    answers exactly even when a list holds the id twice. Costs a walk
+    up to that entry. *)
+
 val highest_ordinal : t -> int
 (** -1 when the list never held an entry. *)
 
@@ -93,12 +100,15 @@ val ack_update : t -> Proposal.id -> Proc_id.t -> t
 val ack_all_received : t -> received:(Proposal.id -> bool) -> by:Proc_id.t -> t
 (** Add [by]'s acknowledgement to every update descriptor whose
     proposal [by] has received — how a process turns the incoming oal
-    into its own view v_p (paper, Section 4.3). *)
+    into its own view v_p (paper, Section 4.3). Only the entries that
+    gain the acknowledgement are rebuilt; when none does, the result is
+    the argument itself. *)
 
 val refresh_stability : t -> group:Proc_set.t -> t
 (** Set [known_stable] on every entry acknowledged by all of [group].
     Membership entries are acked like updates (receipt of the decision
-    message that introduced them). *)
+    message that introduced them). Only the entries that become stable
+    are rebuilt; when none does, the result is the argument itself. *)
 
 val purge_stable : t -> delivered:(int -> bool) -> t
 (** Advance [low] over the longest head run of entries that are

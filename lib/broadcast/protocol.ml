@@ -194,8 +194,7 @@ let send_decision s ~clock =
   let oal =
     Oal.purge_stable s.oal ~delivered:(Buffers.delivered_ordinal s.buffers)
   in
-  let low = Oal.low oal in
-  let buffers = Buffers.compact s.buffers ~purged:(fun o -> o < low) in
+  let buffers = Buffers.compact s.buffers ~below:(Oal.low oal) in
   let s = { s with oal; buffers; decider = false } in
   let s, deliver_effects = deliver_step s ~clock in
   let decision = Decision { ts = clock; oal } in
@@ -251,17 +250,12 @@ let on_receive_decision s ~clock ~src ~ts:_ ~oal =
   in
   (* learn ordinals of updates we delivered unordered *)
   let s =
-    List.fold_left
-      (fun s e ->
-        match e.Oal.body with
-        | Oal.Update info ->
-          {
-            s with
-            buffers =
-              Buffers.note_ordinal s.buffers info.Oal.proposal_id e.Oal.ordinal;
-          }
-        | Oal.Membership _ -> s)
-      s (Oal.entries s.oal)
+    {
+      s with
+      buffers =
+        Buffers.learn_ordinals s.buffers
+          ~find:(Oal.first_update_ordinal s.oal);
+    }
   in
   let s =
     { s with oal = Oal.refresh_stability s.oal ~group:s.group }
@@ -275,9 +269,8 @@ let on_receive_decision s ~clock ~src ~ts:_ ~oal =
           ~delivered:(Buffers.delivered_ordinal s.buffers);
     }
   in
-  let low = Oal.low s.oal in
   let s =
-    { s with buffers = Buffers.compact s.buffers ~purged:(fun o -> o < low) }
+    { s with buffers = Buffers.compact s.buffers ~below:(Oal.low s.oal) }
   in
   let nacks = recover_missing s in
   let s, deliver_effects = deliver_step s ~clock in

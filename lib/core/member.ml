@@ -296,8 +296,7 @@ let housekeeping_oal s =
     Oal.purge_stable oal ~delivered:(fun o ->
         Buffers.delivered_ordinal s.buffers o)
   in
-  let low = Oal.low oal in
-  let buffers = Buffers.compact s.buffers ~purged:(fun o -> o < low) in
+  let buffers = Buffers.compact s.buffers ~below:(Oal.low oal) in
   { s with oal; buffers }
 
 (* Record a control message we are about to broadcast: remember it for
@@ -757,18 +756,12 @@ let adopt_decision s ~clock ~(d : C.decision) =
   let s = { s with oal = my_view s } in
   (* learn ordinals for unordered-delivered updates *)
   let s =
-    List.fold_left
-      (fun s e ->
-        match e.Oal.body with
-        | Oal.Update info ->
-          {
-            s with
-            buffers =
-              Buffers.note_ordinal s.buffers info.Oal.proposal_id
-                e.Oal.ordinal;
-          }
-        | Oal.Membership _ -> s)
-      s (Oal.entries s.oal)
+    {
+      s with
+      buffers =
+        Buffers.learn_ordinals s.buffers
+          ~find:(Oal.first_update_ordinal s.oal);
+    }
   in
   let s, view_effects, excluded =
     match valid_membership s s.oal with

@@ -327,6 +327,69 @@ let prop_oal_merge_idempotent =
       && Oal.cardinal merged = Oal.cardinal oal
       && Oal.next_ordinal merged = Oal.next_ordinal oal)
 
+(* merge against the entry-by-entry reference it must equal: mark
+   local entries below the incoming frontier stable, then let every
+   incoming entry at or above the local frontier replace or join the
+   local one. Both sides are purged at random first, so either frontier
+   may lead. *)
+let prop_oal_merge_matches_reference =
+  let purged oal =
+    Oal.purge_stable
+      (Oal.refresh_stability oal ~group:(set_of [ 0; 1 ]))
+      ~delivered:(fun o -> o mod 3 <> 2)
+  in
+  QCheck.Test.make ~name:"merge equals the entry-by-entry reference"
+    QCheck.(pair arb_oal arb_oal)
+    (fun (a, b) ->
+      let local = purged a and incoming = purged b in
+      let module M = Map.Make (Int) in
+      let of_list es =
+        List.fold_left (fun m e -> M.add e.Oal.ordinal e m) M.empty es
+      in
+      let reference =
+        List.fold_left
+          (fun m (inc : Oal.entry) ->
+            if inc.Oal.ordinal < Oal.low local then m
+            else
+              match M.find_opt inc.Oal.ordinal m with
+              | None -> M.add inc.Oal.ordinal inc m
+              | Some mine ->
+                M.add inc.Oal.ordinal
+                  {
+                    inc with
+                    Oal.acks = Proc_set.union mine.Oal.acks inc.Oal.acks;
+                    undeliverable =
+                      mine.Oal.undeliverable || inc.Oal.undeliverable;
+                    known_stable =
+                      mine.Oal.known_stable || inc.Oal.known_stable;
+                  }
+                  m)
+          (of_list
+             (List.map
+                (fun e ->
+                  if e.Oal.ordinal < Oal.low incoming then
+                    { e with Oal.known_stable = true }
+                  else e)
+                (Oal.entries local)))
+          (Oal.entries incoming)
+      in
+      let merged = Oal.merge ~local ~incoming in
+      let ids =
+        List.filter_map
+          (fun e ->
+            match e.Oal.body with
+            | Oal.Update info -> Some info.Oal.proposal_id
+            | Oal.Membership _ -> None)
+          (Oal.entries merged)
+      in
+      Oal.entries merged = List.map snd (M.bindings reference)
+      && List.for_all
+           (fun id ->
+             match Oal.find_update merged id with
+             | Some e -> M.find_opt e.Oal.ordinal reference = Some e
+             | None -> false)
+           ids)
+
 let prop_oal_merge_next_ordinal_monotone =
   QCheck.Test.make ~name:"merge never loses ordinal ground"
     QCheck.(pair arb_oal arb_oal)
@@ -335,6 +398,36 @@ let prop_oal_merge_next_ordinal_monotone =
       Oal.next_ordinal m >= Oal.next_ordinal a
       && Oal.next_ordinal m >= Oal.next_ordinal b
       && Oal.low m = Oal.low a)
+
+(* ack_all_received and refresh_stability rebuild only the entries
+   they change; the result must equal rewriting every entry *)
+let prop_oal_partial_rewrite =
+  QCheck.Test.make ~name:"ack/refresh equal the whole-list rewrite"
+    QCheck.(pair arb_oal (int_bound 4))
+    (fun (oal, by) ->
+      let by = pid by and group = set_of [ 0; 1; 2 ] in
+      let received id = id.Proposal.seq mod 2 = 0 in
+      let rewrite f = List.map f (Oal.entries oal) in
+      let acked =
+        rewrite (fun e ->
+            match e.Oal.body with
+            | Oal.Update info when received info.Oal.proposal_id ->
+              { e with Oal.acks = Proc_set.add by e.Oal.acks }
+            | Oal.Membership _ ->
+              { e with Oal.acks = Proc_set.add by e.Oal.acks }
+            | Oal.Update _ -> e)
+      in
+      let stable =
+        rewrite (fun e ->
+            if e.Oal.known_stable then e
+            else { e with Oal.known_stable = Proc_set.subset group e.Oal.acks })
+      in
+      let once = Oal.ack_all_received oal ~received ~by in
+      Oal.entries once = acked
+      && Oal.entries (Oal.refresh_stability oal ~group) = stable
+      (* nothing left to change: the argument comes back itself *)
+      && Oal.ack_all_received once ~received ~by == once
+      && Oal.refresh_stability oal ~group:(Proc_set.full ~n:8) == oal)
 
 let prop_oal_purge_only_advances =
   QCheck.Test.make ~name:"purge_stable only advances the frontier" arb_oal
@@ -365,7 +458,7 @@ let test_buffers_delivery_bookkeeping () =
   check Alcotest.int "highest" 3 (Buffers.highest_delivered_ordinal b);
   (* payload retained for retransmission until compacted *)
   check Alcotest.bool "payload kept" true (Buffers.get b p.Proposal.id <> None);
-  let b = Buffers.compact b ~purged:(fun o -> o <= 3) in
+  let b = Buffers.compact b ~below:4 in
   check Alcotest.bool "payload dropped" true (Buffers.get b p.Proposal.id = None)
 
 let test_buffers_dpd () =
@@ -409,6 +502,271 @@ let test_buffers_purge_marked () =
   let b = Buffers.purge_marked b ~now:(Time.of_ms 10) in
   check Alcotest.bool "marked purged" true (Buffers.get b p.Proposal.id = None);
   check Alcotest.bool "other kept" true (Buffers.get b q.Proposal.id <> None)
+
+let test_buffers_learn_ordinals_duplicate () =
+  (* an oal holding one id twice: the lower ordinal is learned, as the
+     ascending walk over every entry learned it *)
+  let p = proposal ~origin:1 ~seq:0 "x" in
+  let b, _ = Buffers.store Buffers.empty p in
+  let b = Buffers.note_delivered b p.Proposal.id ~ordinal:None in
+  let oal, _ =
+    Oal.append_update Oal.empty (info ~origin:2 ~seq:0 ()) ~acks:Proc_set.empty
+  in
+  let oal, _ =
+    Oal.append_update oal (info ~origin:1 ~seq:0 ()) ~acks:Proc_set.empty
+  in
+  let oal, _ =
+    Oal.append_update oal (info ~origin:1 ~seq:0 ()) ~acks:Proc_set.empty
+  in
+  let b = Buffers.learn_ordinals b ~find:(Oal.first_update_ordinal oal) in
+  check Alcotest.(option int) "first entry wins" (Some 1)
+    (Buffers.ordinal_of_delivered b p.Proposal.id);
+  check Alcotest.int "no longer undated" 0 (List.length (Buffers.dpd b));
+  check Alcotest.bool "later entry not counted" false
+    (Buffers.delivered_ordinal b 2)
+
+(* Model check of the Buffers indexes. The reference keeps the plain
+   maps and recomputes every derived value by walking them, the way the
+   module did before it kept indexes; after each step of a random
+   operation sequence the indexed answers must equal the recomputed
+   ones. *)
+
+module Ref_buffers = struct
+  module Id_map = Proposal.Id_map
+  module Int_set = Set.Make (Int)
+
+  type t = {
+    proposals : string Proposal.t Id_map.t;
+    delivered : int option Id_map.t;
+    ordinals : Int_set.t;
+  }
+
+  let empty =
+    {
+      proposals = Id_map.empty;
+      delivered = Id_map.empty;
+      ordinals = Int_set.empty;
+    }
+
+  let received t id = Id_map.mem id t.proposals || Id_map.mem id t.delivered
+
+  let store t (p : string Proposal.t) =
+    if received t p.Proposal.id then t
+    else { t with proposals = Id_map.add p.Proposal.id p t.proposals }
+
+  let remove t id = { t with proposals = Id_map.remove id t.proposals }
+
+  let note_delivered t id ~ordinal =
+    let t = { t with delivered = Id_map.add id ordinal t.delivered } in
+    match ordinal with
+    | Some o -> { t with ordinals = Int_set.add o t.ordinals }
+    | None -> t
+
+  let note_ordinal t id ordinal =
+    match Id_map.find_opt id t.delivered with
+    | Some None ->
+      {
+        t with
+        delivered = Id_map.add id (Some ordinal) t.delivered;
+        ordinals = Int_set.add ordinal t.ordinals;
+      }
+    | Some (Some _) | None -> t
+
+  (* the per-decision fold over every oal entry *)
+  let learn_ordinals t oal =
+    List.fold_left
+      (fun t e ->
+        match e.Oal.body with
+        | Oal.Update info -> note_ordinal t info.Oal.proposal_id e.Oal.ordinal
+        | Oal.Membership _ -> t)
+      t (Oal.entries oal)
+
+  let compact t ~purged =
+    let keep id _ =
+      match Id_map.find_opt id t.delivered with
+      | Some (Some ordinal) -> not (purged ordinal)
+      | Some None | None -> true
+    in
+    { t with proposals = Id_map.filter keep t.proposals }
+
+  let purge_marked t ~is_marked =
+    {
+      t with
+      proposals =
+        Id_map.filter
+          (fun id _ -> (not (is_marked id)) || Id_map.mem id t.delivered)
+          t.proposals;
+    }
+
+  (* the wire image carries the delivered bindings, not the ordinal
+     set, so an ordinal overwritten by a second note_delivered of the
+     same id does not survive the trip *)
+  let round_trip t =
+    {
+      t with
+      ordinals =
+        Id_map.fold
+          (fun _ ordinal s ->
+            match ordinal with Some o -> Int_set.add o s | None -> s)
+          t.delivered Int_set.empty;
+    }
+
+  let pending t =
+    Id_map.fold
+      (fun id _ acc -> if Id_map.mem id t.delivered then acc else id :: acc)
+      t.proposals []
+    |> List.rev
+
+  let dpd t =
+    Id_map.fold
+      (fun id ordinal acc ->
+        match ordinal with None -> id :: acc | Some _ -> acc)
+      t.delivered []
+    |> List.rev
+end
+
+type buffers_op =
+  | B_store of int * int
+  | B_deliver of int * int * int option
+  | B_ordinal of int * int * int
+  | B_remove of int * int
+  | B_mark of int * int * int
+  | B_purge_marked of int
+  | B_compact of int
+  | B_round_trip
+  | B_learn of (int * int) option list
+
+let pp_buffers_op ppf = function
+  | B_store (o, s) -> Fmt.pf ppf "store p%d#%d" o s
+  | B_deliver (o, s, ord) ->
+    Fmt.pf ppf "deliver p%d#%d %a" o s Fmt.(option ~none:(any "-") int) ord
+  | B_ordinal (o, s, ord) -> Fmt.pf ppf "ordinal p%d#%d %d" o s ord
+  | B_remove (o, s) -> Fmt.pf ppf "remove p%d#%d" o s
+  | B_mark (o, s, e) -> Fmt.pf ppf "mark p%d#%d until %d" o s e
+  | B_purge_marked now -> Fmt.pf ppf "purge_marked at %d" now
+  | B_compact below -> Fmt.pf ppf "compact below %d" below
+  | B_round_trip -> Fmt.string ppf "of_wire (to_wire _)"
+  | B_learn es ->
+    Fmt.pf ppf "learn [%a]"
+      Fmt.(
+        list ~sep:semi
+          (option ~none:(any "membership") (pair ~sep:(any "#") int int)))
+      es
+
+(* a small id space (3 origins x 4 seqs), so ops keep hitting the same
+   ids and learn oals often hold one id twice *)
+let gen_buffers_op =
+  QCheck.Gen.(
+    let o = int_bound 2 and s = int_bound 3 and ord = int_bound 11 in
+    frequency
+      [
+        (4, map2 (fun o s -> B_store (o, s)) o s);
+        (3, map3 (fun o s ord -> B_deliver (o, s, Some ord)) o s ord);
+        (2, map2 (fun o s -> B_deliver (o, s, None)) o s);
+        (2, map3 (fun o s ord -> B_ordinal (o, s, ord)) o s ord);
+        (1, map2 (fun o s -> B_remove (o, s)) o s);
+        (1, map3 (fun o s e -> B_mark (o, s, e)) o s (int_bound 3));
+        (1, map (fun now -> B_purge_marked now) (int_bound 3));
+        (1, map (fun b -> B_compact b) (int_bound 12));
+        (1, return B_round_trip);
+        ( 2,
+          map
+            (fun es -> B_learn es)
+            (list_size (int_bound 8)
+               (opt ~ratio:0.85 (pair (int_bound 2) (int_bound 3)))) );
+      ])
+
+let arb_buffers_ops =
+  QCheck.make
+    ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_buffers_op))
+    QCheck.Gen.(list_size (int_bound 40) gen_buffers_op)
+
+let prop_buffers_indexes_match_model =
+  QCheck.Test.make ~count:500
+    ~name:"Buffers indexes equal the recomputed reference" arb_buffers_ops
+    (fun ops ->
+      let id o s = { Proposal.origin = pid o; seq = s } in
+      let agree step b r =
+        let same what ref_value value =
+          if ref_value <> value then
+            QCheck.Test.fail_reportf "after step %d: %s differs" step what
+        in
+        let ids = List.map (fun (p : string Proposal.t) -> p.Proposal.id) in
+        same "stored"
+          (List.map fst (Ref_buffers.Id_map.bindings r.Ref_buffers.proposals))
+          (ids (Buffers.stored b));
+        same "pending" (Ref_buffers.pending r) (ids (Buffers.pending b));
+        same "dpd" (Ref_buffers.dpd r) (Buffers.dpd b);
+        same "delivered"
+          (Ref_buffers.Id_map.bindings r.Ref_buffers.delivered)
+          (Buffers.to_wire b).Buffers.w_delivered;
+        same "highest ordinal"
+          (match Ref_buffers.Int_set.max_elt_opt r.Ref_buffers.ordinals with
+           | Some o -> o
+           | None -> -1)
+          (Buffers.highest_delivered_ordinal b);
+        same "delivered ordinals"
+          (List.init 13 (fun o ->
+               Ref_buffers.Int_set.mem o r.Ref_buffers.ordinals))
+          (List.init 13 (Buffers.delivered_ordinal b))
+      in
+      let step (b, r) op =
+        match op with
+        | B_store (o, s) ->
+          let p =
+            Proposal.make ~origin:(pid o) ~seq:s
+              ~semantics:Semantics.unordered_weak ~send_ts:(Time.of_ms 1)
+              ~hdo:(-1) (Fmt.str "u%d.%d" o s)
+          in
+          (fst (Buffers.store b p), Ref_buffers.store r p)
+        | B_deliver (o, s, ordinal) ->
+          ( Buffers.note_delivered b (id o s) ~ordinal,
+            Ref_buffers.note_delivered r (id o s) ~ordinal )
+        | B_ordinal (o, s, ord) ->
+          ( Buffers.note_ordinal b (id o s) ord,
+            Ref_buffers.note_ordinal r (id o s) ord )
+        | B_remove (o, s) ->
+          (Buffers.remove b (id o s), Ref_buffers.remove r (id o s))
+        | B_mark (o, s, e) ->
+          (Buffers.mark_undeliverable b (id o s) ~expires:(Time.of_ms e), r)
+        | B_purge_marked now ->
+          let now = Time.of_ms now in
+          ( Buffers.purge_marked b ~now,
+            Ref_buffers.purge_marked r ~is_marked:(fun id ->
+                Buffers.is_marked b id ~now) )
+        | B_compact below ->
+          ( Buffers.compact b ~below,
+            Ref_buffers.compact r ~purged:(fun o -> o < below) )
+        | B_round_trip ->
+          (Buffers.of_wire (Buffers.to_wire b), Ref_buffers.round_trip r)
+        | B_learn specs ->
+          let oal =
+            List.fold_left
+              (fun oal spec ->
+                match spec with
+                | Some (o, s) ->
+                  fst
+                    (Oal.append_update oal (info ~origin:o ~seq:s ())
+                       ~acks:Proc_set.empty)
+                | None ->
+                  fst
+                    (Oal.append_membership oal ~group:(set_of [ 0 ])
+                       ~group_id:(Group_id.v ~epoch:0 ~seq:1)))
+              Oal.empty specs
+          in
+          ( Buffers.learn_ordinals b ~find:(Oal.first_update_ordinal oal),
+            Ref_buffers.learn_ordinals r oal )
+      in
+      let _ =
+        List.fold_left
+          (fun (i, state) op ->
+            let b, r = step state op in
+            agree i b r;
+            (i + 1, (b, r)))
+          (0, (Buffers.empty, Ref_buffers.empty))
+          ops
+      in
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Delivery conditions *)
@@ -894,7 +1252,9 @@ let () =
             test_oal_of_wire_rejects;
           qcheck prop_oal_merge_idempotent;
           qcheck prop_oal_merge_next_ordinal_monotone;
+          qcheck prop_oal_merge_matches_reference;
           qcheck prop_oal_purge_only_advances;
+          qcheck prop_oal_partial_rewrite;
         ] );
       ( "buffers",
         [
@@ -906,6 +1266,9 @@ let () =
           Alcotest.test_case "purge marked" `Quick test_buffers_purge_marked;
           Alcotest.test_case "wire round trip" `Quick
             test_buffers_wire_round_trip;
+          Alcotest.test_case "learn ordinals, id twice" `Quick
+            test_buffers_learn_ordinals_duplicate;
+          qcheck prop_buffers_indexes_match_model;
         ] );
       ( "delivery",
         [
