@@ -1,0 +1,79 @@
+(** The timewheel broadcast transitions, shared by every automaton that
+    runs the broadcast.
+
+    A core is one process's broadcast state: its oal view, its proposal
+    buffers and its proposal counter. Each function is one transition
+    of the paper's Section 2 mechanism and returns the new core; the
+    caller turns the results into messages. {!Protocol} runs the
+    broadcast alone over a static group; [Timewheel.Member] runs it
+    under the membership protocol, which decides what oal to adopt and
+    when a member may deliver. *)
+
+open Tasim
+
+type scratch
+(** Per-call working storage of {!recover}, shared by every copy of a
+    core and left empty between calls. *)
+
+type 'u t = {
+  self : Proc_id.t;
+  n : int;  (** team size *)
+  oal : Oal.t;  (** this process's view of the oal *)
+  buffers : 'u Buffers.t;
+  next_seq : int;  (** [seq] of this process's next proposal *)
+  scratch : scratch;
+}
+
+val create : self:Proc_id.t -> n:int -> 'u t
+(** Empty oal and buffers, first proposal [seq] 0. *)
+
+val submit :
+  'u t -> clock:Time.t -> semantics:Semantics.t -> 'u -> 'u t * 'u Proposal.t
+(** Make this process's next proposal, stamped [clock] and carrying the
+    highest delivered ordinal as its hdo, store it and ack it. The
+    caller broadcasts the returned proposal. *)
+
+val receive : 'u t -> now:Time.t -> 'u Proposal.t -> 'u t option
+(** Store and ack a received proposal. [None] refuses it: an id marked
+    undeliverable, an id from a blocked origin, or a duplicate. *)
+
+val retransmits : 'u t -> Proposal.id list -> 'u Proposal.t list
+(** The buffered proposals among the ids a NACK asks for. *)
+
+val view : 'u t -> 'u t
+(** Add this process's ack to every descriptor whose proposal it has
+    received ({!Oal.ack_all_received}). *)
+
+val adopt : 'u t -> Oal.t -> 'u t
+(** Take [oal], already merged with or replacing the local view by the
+    caller, as the local view: ack it ({!view}) and date the updates
+    delivered unordered from it ({!Buffers.learn_ordinals}). *)
+
+val order_pending : 'u t -> now:Time.t -> 'u t
+(** Append a descriptor, acked by this process alone, for every
+    buffered proposal that has none and is not marked undeliverable.
+    It does not date an update this process delivered unordered: the
+    appender learns that ordinal from the next oal it adopts, like
+    every other member. *)
+
+val refresh : 'u t -> group:Proc_set.t -> 'u t
+(** Mark the entries acked by all of [group] stable. *)
+
+val purge : 'u t -> 'u t
+(** Purge the stable, delivered head of the oal, then drop the
+    retained payloads below the new purge frontier. *)
+
+val deliver :
+  'u t -> now:Time.t -> timed_delay:Time.t -> 'u t * 'u Delivery.delivery list
+(** Every delivery the conditions allow at synchronized time [now]
+    ({!Delivery.step}), in delivery order. *)
+
+val recover : 'u t -> group:Proc_set.t -> (Proc_id.t * Proposal.id list) list
+(** NACKs for the updates the oal orders but this process never
+    received, batched per holder in first-asked order. Each update is
+    asked of the ring-wise next acked holder inside [group], or of any
+    acked holder when no group member acked it. *)
+
+val dpd : 'u t -> Oal.update_info list
+(** Descriptors of the delivered updates with no ordinal yet, in
+    ascending id order. *)

@@ -1,34 +1,29 @@
-(** Standalone timewheel atomic broadcast automaton.
+(** Standalone timewheel atomic broadcast automaton: an adapter over
+    {!Core}.
 
     The full system couples broadcast and membership through shared
-    decision messages (that coupling lives in [Timewheel.Member]). This
-    automaton runs the broadcast machinery alone over a {e static}
-    group of all team members, under the stable-period assumption (no
-    crashes; decision messages reach the next decider). It exists to
-    test the broadcast substrate in isolation and to drive experiment
-    E8 (per-semantics delivery cost), exactly because the paper
-    evaluates semantics behaviour during failure-free periods.
+    decision messages (that coupling lives in [Timewheel.Member], the
+    other adapter over {!Core}). This automaton runs the broadcast
+    alone over a {e static} group of all team members, under the
+    stable-period assumption (no crashes; decision messages reach the
+    next decider). It exists to test the broadcast substrate in
+    isolation and to drive experiment E8 (per-semantics delivery
+    cost), exactly because the paper evaluates semantics behaviour
+    during failure-free periods.
 
-    Mechanism: the decider role rotates in the cyclic order; a decider
-    sends its decision message D time units after assuming the role.
-    The decision carries the decider's oal view: its own
-    acknowledgements merged in, descriptors appended (ordinals
-    assigned) for every received-but-unordered proposal, stability
-    refreshed and the stable delivered prefix purged. Receivers merge
-    the oal, detect losses by descriptor-without-proposal and recover
-    them with a targeted negative acknowledgement to a process the oal
-    proves has the proposal. *)
+    The adapter adds only what the static group needs around the
+    {!Core} transitions: the message and observation types, the
+    decider rotation and its decide timer, and the [Stable] reports,
+    taken after stability is refreshed and before the stable head is
+    purged. A decider sends its decision D time units after assuming
+    the role; receivers adopt the merged oal and recover losses with
+    targeted negative acknowledgements. *)
 
 open Tasim
 
 type config = {
   d : Time.t;  (** D: max time the decider holds the role *)
   timed_delay : Time.t;  (** delivery delay of [Timed] ordering *)
-  dissemination : Dissemination.policy;
-      (** how decisions travel: [All_to_all] broadcasts every decision;
-          [Gossip] sends it point-to-point to a rotating fanout whose
-          first target is always the ring successor (the next decider),
-          so the handover never depends on the rotation *)
 }
 
 val default_config : config
@@ -42,22 +37,12 @@ type 'u msg =
   | Retransmit of 'u Proposal.t
 
 val kind_of_msg : 'u msg -> string
-val pp_msg : 'u Fmt.t -> 'u msg Fmt.t
 
 type 'u obs =
   | Delivered of { proposal : 'u Proposal.t; ordinal : int option }
   | Became_decider
   | Stable of { proposal_id : Proposal.id; ordinal : int }
 
-val pp_obs : 'u Fmt.t -> 'u obs Fmt.t
-
 type 'u state
 
 val automaton : config -> ('u state, 'u msg, 'u obs) Engine.automaton
-
-(** {1 Inspection (tests, CLI)} *)
-
-val oal_of : 'u state -> Oal.t
-val buffers_of : 'u state -> 'u Buffers.t
-val is_decider : 'u state -> bool
-val delivered_count : 'u state -> int

@@ -76,17 +76,6 @@ type reconfig_info = {
 
 type alive_info = { ai_ts : Time.t; ai_alive : Proc_set.t }
 
-(* Per-call working storage for [recover_missing], hoisted so the
-   surveillance-driven recovery path allocates no fresh table per call.
-   The arrays are indexed by holder proc id; [sc_holders] lists the
-   dirty slots in reverse touch order. Always left empty between calls.
-   The scratch is shared by every functional copy of the state — it
-   carries no state across calls, so sharing is safe. *)
-type scratch = {
-  sc_ids : Proposal.id list array; (* per holder, newest first *)
-  mutable sc_holders : int list;
-}
-
 type ('u, 'app) state = {
   cfg : ('u, 'app) config;
   self : Proc_id.t;
@@ -99,9 +88,7 @@ type ('u, 'app) state = {
          use: 0 cold, one above the persisted epoch after recovery,
          ratcheted up to the largest epoch heard in a join message *)
   fd : FD.t;
-  oal : Oal.t;
-  buffers : 'u Buffers.t;
-  next_seq : int;
+  core : 'u Core.t; (* the broadcast state: oal, buffers, next seq *)
   last_decision_ts : Time.t;
   decider : bool;
   last_control_sent : ('u, 'app) C.t option;
@@ -117,7 +104,6 @@ type ('u, 'app) state = {
          doubles as the seen-rank dedup for gossiped copies *)
   gossip_round : int; (* probe rounds sent, drives target rotation *)
   gossip_due : Time.t; (* when the armed gossip timer ought to fire *)
-  scratch : scratch;
 }
 
 type ('u, 'app) eff = (('u, 'app) C.t, 'u obs) Engine.effect
@@ -129,8 +115,8 @@ let form_epoch s = s.form_epoch
 let has_group s = Group_id.is_known s.group_id
 let is_decider s = s.decider
 let app s = s.app
-let oal_of s = s.oal
-let buffers_of s = s.buffers
+let oal_of s = s.core.Core.oal
+let buffers_of s = s.core.Core.buffers
 let alive_list s ~now = FD.alive_list s.fd ~now
 let failure_detector s = s.fd
 
@@ -211,31 +197,15 @@ let sync_expect_timer s : ('u, 'app) eff list =
   | Some dl -> [ Engine.Set_timer { key = timer_expect; at_clock = dl } ]
   | None -> [ Engine.Cancel_timer timer_expect ]
 
-let my_view s =
-  Oal.ack_all_received s.oal
-    ~received:(fun id -> Buffers.received s.buffers id)
-    ~by:s.self
-
-let dpd_infos s =
-  List.filter_map
-    (fun id ->
-      match Buffers.get s.buffers id with
-      | Some (p : 'u Proposal.t) ->
-        Some
-          {
-            Oal.proposal_id = p.Proposal.id;
-            semantics = p.Proposal.semantics;
-            send_ts = p.Proposal.send_ts;
-            hdo = p.Proposal.hdo;
-          }
-      | None -> None)
-    (Buffers.dpd s.buffers)
+let set_oal s oal = { s with core = { s.core with Core.oal } }
+let set_buffers s buffers = { s with core = { s.core with Core.buffers } }
+let my_view s = (Core.view s.core).Core.oal
 
 let deliver s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   if not (can_deliver s) then (s, [])
   else begin
-    let deliveries, buffers =
-      Delivery.step ~oal:s.oal ~buffers:s.buffers ~now_sync:clock
+    let core, deliveries =
+      Core.deliver s.core ~now:clock
         ~timed_delay:(params s).Params.timed_delay
     in
     let app =
@@ -250,54 +220,18 @@ let deliver s ~clock : ('u, 'app) state * ('u, 'app) eff list =
           Engine.Observe (Delivered { proposal; ordinal }))
         deliveries
     in
-    ({ s with buffers; app }, effects)
+    ({ s with core; app }, effects)
   end
 
 (* Negative acknowledgements for updates the oal proves exist but we
-   never received: ask the ring-wise closest acknowledged holder.
-   Missing updates are batched per holder in the reused scratch arrays
-   (one slot per process) instead of a per-call hash table, and the
-   oal is walked directly instead of materializing a missing-list. *)
+   never received, one per holder asked. *)
 let recover_missing s : ('u, 'app) eff list =
-  let sc = s.scratch in
-  Oal.iter_entries s.oal (fun e ->
-      match e.Oal.body with
-      | Oal.Update info
-        when (not (Buffers.received s.buffers info.Oal.proposal_id))
-             && not e.Oal.undeliverable -> (
-        (* ask a holder that is still a group member; an acknowledged
-           departed process can no longer retransmit *)
-        let holders =
-          let members = Proc_set.inter e.Oal.acks s.group in
-          if Proc_set.is_empty members then e.Oal.acks else members
-        in
-        match Proc_set.successor_in holders s.self ~n:s.n with
-        | Some holder ->
-          let hi = Proc_id.to_int holder in
-          if sc.sc_ids.(hi) = [] then sc.sc_holders <- hi :: sc.sc_holders;
-          sc.sc_ids.(hi) <- info.Oal.proposal_id :: sc.sc_ids.(hi)
-        | None -> ())
-      | Oal.Update _ | Oal.Membership _ -> ());
-  let effs =
-    List.fold_left
-      (fun acc hi ->
-        let ids = sc.sc_ids.(hi) in
-        sc.sc_ids.(hi) <- [];
-        Engine.Send (Proc_id.of_int hi, C.Nack { missing = List.rev ids })
-        :: acc)
-      [] sc.sc_holders
-  in
-  sc.sc_holders <- [];
-  effs
+  List.map
+    (fun (holder, missing) -> Engine.Send (holder, C.Nack { missing }))
+    (Core.recover s.core ~group:s.group)
 
 let housekeeping_oal s =
-  let oal = Oal.refresh_stability s.oal ~group:s.group in
-  let oal =
-    Oal.purge_stable oal ~delivered:(fun o ->
-        Buffers.delivered_ordinal s.buffers o)
-  in
-  let buffers = Buffers.compact s.buffers ~below:(Oal.low oal) in
-  { s with oal; buffers }
+  { s with core = Core.purge (Core.refresh s.core ~group:s.group) }
 
 (* Record a control message we are about to broadcast: remember it for
    wrong-suspicion retransmission and, for ring messages (decisions and
@@ -328,36 +262,6 @@ let send_control s ~ring ~ts msg : ('u, 'app) state * ('u, 'app) eff list =
 
 (* ------------------------------------------------------------------ *)
 (* decision construction                                               *)
-
-(* Append descriptors (assign ordinals) for every buffered proposal that
-   is not yet ordered and not locally marked undeliverable. *)
-let order_pending s ~clock =
-  let oal, buffers =
-    List.fold_left
-      (fun (oal, buffers) (p : 'u Proposal.t) ->
-        if Oal.mem_update oal p.Proposal.id then (oal, buffers)
-        else if Buffers.is_marked buffers p.Proposal.id ~now:clock then
-          (oal, buffers)
-        else
-          let info =
-            {
-              Oal.proposal_id = p.Proposal.id;
-              semantics = p.Proposal.semantics;
-              send_ts = p.Proposal.send_ts;
-              hdo = p.Proposal.hdo;
-            }
-          in
-          (* the ack bit means "has merged an oal containing this
-             descriptor (and holds the payload)": only the appender
-             qualifies at append time — pre-acking the origin would let
-             the entry stabilize and be purged before the origin ever
-             learned its ordinal, leaving it a silent gap *)
-          let acks = Proc_set.singleton s.self in
-          let oal, ordinal = Oal.append_update oal info ~acks in
-          (oal, Buffers.note_ordinal buffers p.Proposal.id ordinal))
-      (s.oal, s.buffers) (Buffers.stored s.buffers)
-  in
-  { s with oal; buffers }
 
 (* Integration of joiners (Section 4.2): a decider adds process p to the
    group when every current member's (fresh) piggybacked alive-list
@@ -413,32 +317,32 @@ let state_transfer_msg s ~ts =
       st_ts = ts;
       st_group = s.group;
       st_group_id = s.group_id;
-      st_oal = s.oal;
+      st_oal = oal_of s;
       st_app = s.app;
-      st_buffers = s.buffers;
+      st_buffers = buffers_of s;
     }
 
 (* The decider's decision send: integrate joiners, order pending
    proposals, refresh/purge the oal, broadcast, hand the role over. *)
 let send_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
-  let s = { s with oal = my_view s } in
+  let s = { s with core = Core.view s.core } in
   let joiners = joiners_ready s ~clock in
   let s, view_effects =
     if Proc_set.is_empty joiners then (s, [])
     else begin
       let group = Proc_set.union s.group joiners in
       let group_id = Group_id.succ s.group_id in
-      let oal, _ = Oal.append_membership s.oal ~group ~group_id in
-      let s = { s with group; group_id; oal } in
+      let oal, _ = Oal.append_membership (oal_of s) ~group ~group_id in
+      let s = { (set_oal s oal) with group; group_id } in
       persist_view s ~clock;
       (s, [ Engine.Observe (View_installed { group; group_id }) ])
     end
   in
-  let s = order_pending s ~clock in
+  let s = { s with core = Core.order_pending s.core ~now:clock } in
   let s = housekeeping_oal s in
   let ts = clock in
   let d =
-    { C.d_ts = ts; d_oal = s.oal; d_alive = FD.alive_list s.fd ~now:clock }
+    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
   in
   let msg = C.Decision d in
   let s = { s with decider = false; last_decision_ts = ts } in
@@ -514,7 +418,7 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
   let oal = Undeliverable.apply ~oal classified in
   (* 4. append dpd descriptors reported by new members (and self) *)
   let dpd_all =
-    let own = List.map (fun info -> (info, s.self)) (dpd_infos s) in
+    let own = List.map (fun info -> (info, s.self)) (Core.dpd s.core) in
     Proc_set.fold
       (fun m acc ->
         match Pmap.find_opt m s.peer_views with
@@ -534,23 +438,22 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
                ~acks:(Proc_set.singleton reporter)))
       oal dpd_all
   in
-  let s = { s with oal } in
+  let s = set_oal s oal in
   (* 5. block further proposals from departed members for one cycle and
      purge marked payloads *)
   let expires = Time.add clock (Params.cycle (params s)) in
   let buffers =
     Proc_set.fold
       (fun q buffers -> Buffers.block_origin buffers q ~expires)
-      departed s.buffers
+      departed (buffers_of s)
   in
-  let buffers = Buffers.purge_marked buffers ~now:clock in
-  let s = { s with buffers } in
+  let s = set_buffers s (Buffers.purge_marked buffers ~now:clock) in
   (* 6. order surviving pending proposals, filtering departed-origin
      ones that the pending rules condemn *)
   let undeliv_ordinals =
     List.filter_map
       (fun e -> if e.Oal.undeliverable then Some e.Oal.ordinal else None)
-      (Oal.entries s.oal)
+      (Oal.entries (oal_of s))
   in
   let s =
     let buffers =
@@ -559,7 +462,7 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
           let origin = p.Proposal.id.Proposal.origin in
           if
             Proc_set.mem origin departed
-            && (not (Oal.mem_update s.oal p.Proposal.id))
+            && (not (Oal.mem_update (oal_of s) p.Proposal.id))
             && Undeliverable.pending_category
                  ~undeliverable_ordinals:undeliv_ordinals
                  ~highest_known_ordinal:highest_known
@@ -567,15 +470,16 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
                <> None
           then Buffers.mark_undeliverable buffers p.Proposal.id ~expires
           else buffers)
-        s.buffers (Buffers.stored s.buffers)
+        (buffers_of s)
+        (Buffers.stored (buffers_of s))
     in
-    { s with buffers }
+    set_buffers s buffers
   in
-  let s = order_pending s ~clock in
+  let s = { s with core = Core.order_pending s.core ~now:clock } in
   (* 7. membership descriptor and adoption *)
   let group_id = Group_id.succ s.group_id in
-  let oal, _ = Oal.append_membership s.oal ~group:new_group ~group_id in
-  let s = { s with oal; group = new_group; group_id } in
+  let oal, _ = Oal.append_membership (oal_of s) ~group:new_group ~group_id in
+  let s = { (set_oal s oal) with group = new_group; group_id } in
   persist_view s ~clock;
   let view_effect =
     Engine.Observe (View_installed { group = new_group; group_id })
@@ -589,7 +493,7 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
   let s = housekeeping_oal s in
   let ts = clock in
   let d =
-    { C.d_ts = ts; d_oal = s.oal; d_alive = FD.alive_list s.fd ~now:clock }
+    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
   in
   let msg = C.Decision d in
   let s = { s with decider = false; last_decision_ts = ts } in
@@ -608,7 +512,7 @@ let make_no_decision s ~clock ~suspect ~since =
       nd_suspect = suspect;
       nd_since = since;
       nd_view = my_view s;
-      nd_dpd = dpd_infos s;
+      nd_dpd = Core.dpd s.core;
       nd_alive = FD.alive_list s.fd ~now:clock;
     }
 
@@ -619,7 +523,7 @@ let make_reconfig s ~clock ~list =
       r_list = list;
       r_last_decision_ts = s.last_decision_ts;
       r_view = my_view s;
-      r_dpd = dpd_infos s;
+      r_dpd = Core.dpd s.core;
       r_alive = FD.alive_list s.fd ~now:clock;
     }
 
@@ -645,7 +549,7 @@ let exec_directive (s, effects) ~clock directive =
   | GC.Send_no_decision { suspect; since } ->
     let expires = Time.add clock (Params.cycle (params s)) in
     let s =
-      { s with buffers = Buffers.block_origin s.buffers suspect ~expires }
+      set_buffers s (Buffers.block_origin (buffers_of s) suspect ~expires)
     in
     let msg = make_no_decision s ~clock ~suspect ~since in
     let s, send_effects = send_control s ~ring:true ~ts:clock msg in
@@ -688,40 +592,10 @@ let on_submit s ~clock ~semantics payload =
   if not (member_of_current_group s) then
     (s, [ Engine.Log "submit dropped: not a group member" ])
   else begin
-    let proposal =
-      Proposal.make ~origin:s.self ~seq:s.next_seq ~semantics ~send_ts:clock
-        ~hdo:(Buffers.highest_delivered_ordinal s.buffers)
-        payload
-    in
-    let buffers, _ = Buffers.store s.buffers proposal in
-    let s = { s with buffers; next_seq = s.next_seq + 1 } in
-    let s = { s with oal = Oal.ack_update s.oal proposal.Proposal.id s.self } in
-    let s, deliver_effects = deliver s ~clock in
+    let core, proposal = Core.submit s.core ~clock ~semantics payload in
+    let s, deliver_effects = deliver { s with core } ~clock in
     (s, Engine.Broadcast (C.Proposal_msg proposal) :: deliver_effects)
   end
-
-let on_proposal s ~clock (p : 'u Proposal.t) =
-  if Buffers.is_marked s.buffers p.Proposal.id ~now:clock then (s, [])
-  else begin
-    let buffers, fresh = Buffers.store s.buffers p in
-    if not fresh then (s, [])
-    else begin
-      let s = { s with buffers } in
-      let s = { s with oal = Oal.ack_update s.oal p.Proposal.id s.self } in
-      deliver s ~clock
-    end
-  end
-
-let on_nack s ~src missing =
-  let resend =
-    List.filter_map
-      (fun id ->
-        match Buffers.get s.buffers id with
-        | Some p -> Some (Engine.Send (src, C.Retransmit p))
-        | None -> None)
-      missing
-  in
-  (s, resend)
 
 (* Only majority groups are valid membership descriptors (Section 3,
    property 5); anything else is noise from outside the failure model
@@ -737,7 +611,7 @@ let valid_membership s oal =
    deliver. Returns the updated state plus whether the decision named a
    new group that excludes this process. *)
 let adopt_decision s ~clock ~(d : C.decision) =
-  let s =
+  let oal =
     (* A decision of a later incarnation (strictly higher formation
        epoch) carries the fresh history of a group formed after this
        process's group died. The local history must not be merged into
@@ -749,22 +623,12 @@ let adopt_decision s ~clock ~(d : C.decision) =
       | Some (_, _, gid) -> Group_id.epoch gid
       | None -> 0
     in
-    if incoming_epoch > Group_id.epoch s.group_id then
-      { s with oal = d.C.d_oal }
-    else { s with oal = Oal.merge ~local:s.oal ~incoming:d.C.d_oal }
+    if incoming_epoch > Group_id.epoch s.group_id then d.C.d_oal
+    else Oal.merge ~local:(oal_of s) ~incoming:d.C.d_oal
   in
-  let s = { s with oal = my_view s } in
-  (* learn ordinals for unordered-delivered updates *)
-  let s =
-    {
-      s with
-      buffers =
-        Buffers.learn_ordinals s.buffers
-          ~find:(Oal.first_update_ordinal s.oal);
-    }
-  in
+  let s = { s with core = Core.adopt s.core oal } in
   let s, view_effects, excluded =
-    match valid_membership s s.oal with
+    match valid_membership s (oal_of s) with
     | Some (grp, gid) when Group_id.later gid ~than:s.group_id ->
       if Proc_set.mem s.self grp then
         if CS.kind_of s.creator = CS.KJoin && Group_id.seq gid > 0 then
@@ -1047,21 +911,22 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
       List.fold_left
         (fun buffers p -> fst (Buffers.store buffers p))
         st.C.st_buffers
-        (Buffers.stored s.buffers)
+        (Buffers.stored (buffers_of s))
+    in
+    let oal =
+      (* same epoch: keep oal information absorbed while waiting
+         (decisions may have raced the transfer); later incarnation: the
+         local history is from a dead epoch — replace it *)
+      if Group_id.epoch st.C.st_group_id > Group_id.epoch s.group_id then
+        st.C.st_oal
+      else Oal.merge ~local:st.C.st_oal ~incoming:(oal_of s)
     in
     let s =
       {
         s with
         group = st.C.st_group;
         group_id = st.C.st_group_id;
-        oal =
-          (* same epoch: keep oal information absorbed while waiting
-             (decisions may have raced the transfer); later incarnation:
-             the local history is from a dead epoch — replace it *)
-          (if Group_id.epoch st.C.st_group_id > Group_id.epoch s.group_id then
-             st.C.st_oal
-           else Oal.merge ~local:st.C.st_oal ~incoming:s.oal);
-        buffers;
+        core = { s.core with Core.oal; buffers };
         app = st.C.st_app;
         pending_new_group = None;
       }
@@ -1281,14 +1146,14 @@ let try_initial_create s ~clock =
 
 let create_initial_group s ~clock ~group =
   let group_id = Group_id.form ~epoch:s.form_epoch in
-  let oal, _ = Oal.append_membership s.oal ~group ~group_id in
-  let s = { s with oal; group; group_id } in
+  let oal, _ = Oal.append_membership (oal_of s) ~group ~group_id in
+  let s = { (set_oal s oal) with group; group_id } in
   persist_view s ~clock;
   let transition_effects = fsm_transition s CS.Failure_free in
   let s = { s with creator = CS.Failure_free } in
   let ts = clock in
   let d =
-    { C.d_ts = ts; d_oal = s.oal; d_alive = FD.alive_list s.fd ~now:clock }
+    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
   in
   let msg = C.Decision d in
   let s = { s with last_decision_ts = ts } in
@@ -1337,7 +1202,7 @@ let try_reconfig_create s ~clock ~wait_until_slot =
 let on_slot s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   let next = Slots.next_own_slot (params s) ~self:s.self ~now:clock in
   let rearm = Engine.Set_timer { key = timer_slot; at_clock = next } in
-  let s = { s with buffers = Buffers.expire_marks s.buffers ~now:clock } in
+  let s = set_buffers s (Buffers.expire_marks (buffers_of s) ~now:clock) in
   let s, effects =
     match s.creator with
     | CS.Join -> (
@@ -1470,9 +1335,7 @@ let init cfg ~self ~n ~clock ~incarnation:_ =
       group_id = Group_id.none;
       form_epoch;
       fd = FD.create cfg.params ~self;
-      oal = Oal.empty;
-      buffers = Buffers.empty;
-      next_seq = 0;
+      core = Core.create ~self ~n;
       last_decision_ts = Time.zero;
       decider = false;
       last_control_sent = None;
@@ -1485,7 +1348,6 @@ let init cfg ~self ~n ~clock ~incarnation:_ =
       gossip_q = Dissemination.Queue.empty;
       gossip_round = 0;
       gossip_due = Time.zero;
-      scratch = { sc_ids = Array.make n []; sc_holders = [] };
     }
   in
   (* under gossip dissemination the probe timer runs from boot; the
@@ -1517,8 +1379,15 @@ let init cfg ~self ~n ~clock ~incarnation:_ =
 let on_receive s ~clock ~src msg =
   match msg with
   | C.Submit { semantics; payload } -> on_submit s ~clock ~semantics payload
-  | C.Proposal_msg p | C.Retransmit p -> on_proposal s ~clock p
-  | C.Nack { missing } -> on_nack s ~src missing
+  | C.Proposal_msg p | C.Retransmit p -> (
+    match Core.receive s.core ~now:clock p with
+    | Some core -> deliver { s with core } ~clock
+    | None -> (s, []))
+  | C.Nack { missing } ->
+    ( s,
+      List.map
+        (fun p -> Engine.Send (src, C.Retransmit p))
+        (Core.retransmits s.core missing) )
   | C.State_transfer st -> on_state_transfer s ~clock ~src st
   | C.Decision _ | C.No_decision _ | C.Join_msg _ | C.Reconfig _
   | C.Gossip _ -> (

@@ -26,8 +26,10 @@ type t = private {
   slot_len : Time.t;
   timed_delay : Time.t;
   eager_decisions : bool;
-      (** when true a decider with unordered proposals pending sends its
-          decision early instead of waiting the full D *)
+      (** when true every decider sends its decision 1 µs after taking
+          the role instead of waiting the full D, whether or not any
+          proposal is pending, so an idle group rotates the role as
+          fast as decisions travel *)
   single_failure_election : bool;
       (** the paper's fast path: the no-decision ring for single
           failures. Disabling it (ablation A3) routes every suspicion

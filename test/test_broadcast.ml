@@ -1,6 +1,7 @@
 (* Tests for the timewheel atomic broadcast substrate: the ordering and
    acknowledgement list, proposal buffers, the delivery conditions for
-   all nine semantics, decider rotation and the standalone protocol. *)
+   all nine semantics, decider rotation, the broadcast core and the
+   standalone protocol. *)
 
 open Tasim
 open Broadcast
@@ -1118,6 +1119,95 @@ let prop_agreement_under_loss =
       | [] -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Core: the transitions Protocol and Member share *)
+
+let test_core_appender_ordinal () =
+  (* the appender dates an update it delivered unordered only from the
+     next oal it adopts, like every other member *)
+  let t = Core.create ~self:(pid 0) ~n:3 in
+  let oal, _ =
+    Oal.append_membership Oal.empty ~group:(set_of [ 0; 1; 2 ])
+      ~group_id:(Group_id.form ~epoch:0)
+  in
+  let t = { t with Core.oal } in
+  let p = proposal ~origin:1 ~seq:0 "x" in
+  let t = Option.get (Core.receive t ~now:(Time.of_ms 1) p) in
+  let t, deliveries =
+    Core.deliver t ~now:(Time.of_ms 1) ~timed_delay:(Time.of_ms 200)
+  in
+  check Alcotest.int "delivered unordered" 1 (List.length deliveries);
+  let t = Core.order_pending t ~now:(Time.of_ms 2) in
+  let appended =
+    match Oal.find_update t.Core.oal p.Proposal.id with
+    | Some e -> e.Oal.ordinal
+    | None -> Alcotest.fail "not appended"
+  in
+  check Alcotest.int "after the membership entry" 1 appended;
+  check Alcotest.bool "still undated after append" true
+    (List.mem p.Proposal.id (Buffers.dpd t.Core.buffers));
+  check Alcotest.bool "ordinal not yet delivered" false
+    (Buffers.delivered_ordinal t.Core.buffers appended);
+  let t = Core.adopt t t.Core.oal in
+  check Alcotest.(option int) "dated by adopt" (Some appended)
+    (Buffers.ordinal_of_delivered t.Core.buffers p.Proposal.id);
+  check Alcotest.int "dpd empty" 0 (List.length (Buffers.dpd t.Core.buffers))
+
+let test_core_recover_holder () =
+  (* p0 misses four updates, the last marked undeliverable; p1 acked
+     them all but has left the group *)
+  let t = Core.create ~self:(pid 0) ~n:5 in
+  let group = set_of [ 0; 2; 3; 4 ] in
+  let append oal ~seq acks =
+    fst (Oal.append_update oal (info ~origin:3 ~seq ()) ~acks:(set_of acks))
+  in
+  let oal = append Oal.empty ~seq:0 [ 1; 3 ] in
+  let oal = append oal ~seq:1 [ 1 ] in
+  let oal = append oal ~seq:2 [ 1; 4 ] in
+  let oal = append oal ~seq:3 [ 1; 4 ] in
+  let oal = Oal.mark_undeliverable oal { Proposal.origin = pid 3; seq = 3 } in
+  let nacks =
+    List.map
+      (fun (holder, ids) ->
+        (Proc_id.to_int holder, List.map (fun id -> id.Proposal.seq) ids))
+      (Core.recover { t with Core.oal } ~group)
+  in
+  check
+    Alcotest.(list (pair int (list int)))
+    "member holder first, departed holder as fallback, one list each"
+    [ (3, [ 0 ]); (1, [ 1 ]); (4, [ 2 ]) ]
+    nacks;
+  (* the scratch is left empty: a second call answers the same *)
+  check Alcotest.int "repeatable" 3
+    (List.length (Core.recover { t with Core.oal } ~group))
+
+let test_core_receive_refusals () =
+  let now = Time.of_ms 10 and expires = Time.of_ms 100 in
+  let t = Core.create ~self:(pid 0) ~n:4 in
+  let p = proposal ~origin:1 ~seq:0 "x" in
+  let oal, _ =
+    Oal.append_update Oal.empty (info ~origin:1 ~seq:0 ()) ~acks:(set_of [ 1 ])
+  in
+  let fresh = { t with Core.oal } in
+  let refused t p = Option.is_none (Core.receive t ~now p) in
+  let marked =
+    Buffers.mark_undeliverable t.Core.buffers p.Proposal.id ~expires
+  in
+  check Alcotest.bool "marked id" true
+    (refused { fresh with Core.buffers = marked } p);
+  let blocked = Buffers.block_origin t.Core.buffers (pid 1) ~expires in
+  check Alcotest.bool "blocked origin" true
+    (refused { fresh with Core.buffers = blocked } p);
+  match Core.receive fresh ~now p with
+  | None -> Alcotest.fail "fresh proposal refused"
+  | Some t ->
+    check Alcotest.bool "stored" true (Buffers.received t.Core.buffers p.Proposal.id);
+    check Alcotest.bool "acked" true
+      (match Oal.find_update t.Core.oal p.Proposal.id with
+       | Some e -> Proc_set.mem (pid 0) e.Oal.acks
+       | None -> false);
+    check Alcotest.bool "duplicate" true (refused t p)
+
+(* ------------------------------------------------------------------ *)
 (* Dissemination: the epoch-aware piggyback queue and probe targets *)
 
 module Q = Dissemination.Queue
@@ -1290,6 +1380,13 @@ let () =
           Alcotest.test_case "fifo per sender" `Quick test_protocol_fifo_per_sender;
           Alcotest.test_case "stability" `Quick test_protocol_stability_reported;
           qcheck prop_agreement_under_loss;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "appender ordinal rule" `Quick
+            test_core_appender_ordinal;
+          Alcotest.test_case "nack holder choice" `Quick test_core_recover_holder;
+          Alcotest.test_case "refused receipts" `Quick test_core_receive_refusals;
         ] );
       ( "dissemination",
         [
