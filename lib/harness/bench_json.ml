@@ -66,12 +66,14 @@ let to_string v =
   Buffer.contents buf
 
 let write_file path v =
-  let oc = open_out path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (to_string v);
-      output_char oc '\n')
+      output_char oc '\n');
+  Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)
 (* Parser: recursive descent over the same subset the emitter writes. *)
@@ -240,6 +242,28 @@ let read_file path =
   with
   | contents -> of_string contents
   | exception Sys_error msg -> Error msg
+
+let update_file path ~key f =
+  let fields =
+    if not (Sys.file_exists path) then Ok []
+    else
+      match read_file path with
+      | Ok (Obj fields) -> Ok fields
+      | Ok _ -> Error "top level is not an object"
+      | Error msg -> Error msg
+  in
+  match fields with
+  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | Ok fields -> (
+    let v = f (List.assoc_opt key fields) in
+    let fields =
+      if List.mem_assoc key fields then
+        List.map (fun (k, old) -> (k, if k = key then v else old)) fields
+      else fields @ [ (key, v) ]
+    in
+    match write_file path (Obj fields) with
+    | () -> Ok ()
+    | exception Sys_error msg -> Error msg)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

@@ -18,7 +18,9 @@ type t =
 val to_string : t -> string
 
 val write_file : string -> t -> unit
-(** Serialize to a file, overwriting it, with a trailing newline. *)
+(** Serialize with a trailing newline to [path ^ ".tmp"], then rename
+    that over [path], so a reader or a killed writer never leaves a
+    half-written file behind. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (integers without [.]/[e] come back as [Int],
@@ -27,6 +29,16 @@ val of_string : string -> (t, string) result
     trailing garbage is an error. *)
 
 val read_file : string -> (t, string) result
+
+val update_file :
+  string -> key:string -> (t option -> t) -> (unit, string) result
+(** [update_file path ~key f] sets [key] of the object stored in [path]
+    to [f old], where [old] is the key's current value ([None] when
+    absent; a new key goes last), and writes the object back with
+    {!write_file}. Every other key keeps its parsed value and place. A
+    missing file starts as the empty object. A file that does not
+    parse, or whose top level is not an object, is [Error] naming the
+    file and the parse error, and nothing is written. *)
 
 (** {1 Accessors} — shallow, for decoding parsed artifacts. *)
 

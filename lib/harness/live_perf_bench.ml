@@ -102,7 +102,6 @@ type cluster_result = {
   cl_frames_per_sec : float; (* aggregate across shards *)
   cl_submits : int;
   cl_deliveries : int;
-  cl_latency : Hdr.t; (* submit->deliver, microseconds, all shards *)
   cl_false_suspicions : int; (* view changes after formation (faultless) *)
 }
 
@@ -118,7 +117,6 @@ type shard_outcome = {
   sh_frames : int;
   sh_submits : int;
   sh_deliveries : int;
-  sh_latency : Hdr.t;
   sh_false_suspicions : int;
   sh_batched : bool;
 }
@@ -156,23 +154,18 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_frames = 0;
       sh_submits = 0;
       sh_deliveries = 0;
-      sh_latency = Hdr.create ();
       sh_false_suspicions = 0;
       sh_batched = batched;
     }
   else begin
     let views_at_formation = List.length recorder.Live.views in
     let frames_at_formation = recv_total () in
-    let latency = Hdr.create () in
-    let submit_at = Hashtbl.create 64 in
     let seen_deliveries = ref 0 in
     let submits = ref 0 in
-    let retired = ref 0 in
     let nodes = Array.of_list (Cluster.nodes cluster) in
     let pending = Hashtbl.create 16 in
     let submit_one () =
       let payload = Printf.sprintf "s%d-u%d" shard !submits in
-      Hashtbl.replace submit_at payload (Clock.now clock);
       Hashtbl.replace pending payload n;
       Live.submit nodes.(!submits mod n) ~semantics:Semantics.total_strong
         payload;
@@ -181,26 +174,17 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
     let t0 = Unix.gettimeofday () in
     let wall_deadline = t0 +. seconds in
     let deadline = Time.add (Clock.now clock) (Time.of_sec 120) in
-    (* the predicate runs right after each poll pass, so delivery
-       timestamps are at most one pass late *)
     let step () =
-      let now = Clock.now clock in
       let deliveries = recorder.Live.delivered in
       let fresh = List.length deliveries - !seen_deliveries in
       if fresh > 0 then begin
         List.iteri
           (fun i (_proc, payload) ->
-            if i < fresh then begin
-              (match Hashtbl.find_opt submit_at payload with
-              | Some at -> Hdr.record latency (Time.to_us (Time.sub now at))
-              | None -> ());
+            if i < fresh then
               match Hashtbl.find_opt pending payload with
-              | Some 1 ->
-                Hashtbl.remove pending payload;
-                incr retired
+              | Some 1 -> Hashtbl.remove pending payload
               | Some k -> Hashtbl.replace pending payload (k - 1)
-              | None -> ()
-            end)
+              | None -> ())
           deliveries;
         seen_deliveries := List.length deliveries
       end;
@@ -222,7 +206,6 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_frames = recv_total () - frames_at_formation;
       sh_submits = !submits;
       sh_deliveries = !seen_deliveries;
-      sh_latency = latency;
       sh_false_suspicions =
         List.length recorder.Live.views - views_at_formation;
       sh_batched = batched;
@@ -235,8 +218,6 @@ let cluster ?(n = 5) ?(shards = 1) ?(seconds = 2.0) ?(base_port = 49600)
     Cluster.Sharded.run ~shards (fun ~shard ->
         run_shard ~n ~seconds ~base_port ?batching ~shard ())
   in
-  let latency = Hdr.create () in
-  List.iter (fun o -> Hdr.merge ~into:latency o.sh_latency) outcomes;
   let wall = List.fold_left (fun acc o -> Float.max acc o.sh_wall) 0.0 outcomes in
   let frames = List.fold_left (fun acc o -> acc + o.sh_frames) 0 outcomes in
   {
@@ -251,7 +232,6 @@ let cluster ?(n = 5) ?(shards = 1) ?(seconds = 2.0) ?(base_port = 49600)
     cl_submits = List.fold_left (fun acc o -> acc + o.sh_submits) 0 outcomes;
     cl_deliveries =
       List.fold_left (fun acc o -> acc + o.sh_deliveries) 0 outcomes;
-    cl_latency = latency;
     cl_false_suspicions =
       List.fold_left (fun acc o -> acc + o.sh_false_suspicions) 0 outcomes;
   }

@@ -113,6 +113,108 @@ let test_json_accessors () =
   check (Alcotest.option Alcotest.int) "to_int on string" None
     (J.to_int (J.String "1"))
 
+(* update_file: the one writer of BENCH_engine.json, exercised on files
+   in a fresh temporary directory per test *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "bench_json" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let append rows = function
+  | Some (J.List old) -> J.List (old @ rows)
+  | _ -> J.List rows
+
+let update path key f =
+  match J.update_file path ~key f with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "update_file: %s" e
+
+let read path =
+  match J.read_file path with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "read_file: %s" e
+
+let json = Alcotest.testable (fun ppf v -> Fmt.string ppf (J.to_string v)) ( = )
+
+let test_update_missing_file () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "bench.json" in
+  update path "runs" (append [ J.Int 1 ]);
+  check json "fresh object" (J.Obj [ ("runs", J.List [ J.Int 1 ]) ]) (read path)
+
+let test_update_appends_in_order () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "bench.json" in
+  update path "runs" (append [ J.Int 1 ]);
+  update path "runs" (append [ J.Int 2; J.Int 3 ]);
+  update path "runs" (append [ J.Int 4 ]);
+  check json "rows in order"
+    (J.List [ J.Int 1; J.Int 2; J.Int 3; J.Int 4 ])
+    (Option.get (J.member "runs" (read path)))
+
+let test_update_missing_key () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "bench.json" in
+  J.write_file path (J.Obj [ ("a", J.Int 1) ]);
+  update path "b" (fun old ->
+      check Alcotest.bool "absent key reads as None" true (old = None);
+      J.String "x");
+  check json "new key goes last"
+    (J.Obj [ ("a", J.Int 1); ("b", J.String "x") ])
+    (read path)
+
+let test_update_keeps_other_keys () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "bench.json" in
+  let before =
+    [
+      ("schema", J.String "timewheel/bench-engine/v7");
+      ("micro", J.List [ J.Obj [ ("name", J.String "m"); ("ns_per_op", J.Float 2.5) ] ]);
+      ("runs", J.List [ J.Int 1 ]);
+      ("other", J.Obj [ ("nested", J.List [ J.Null; J.Bool true ]) ]);
+    ]
+  in
+  J.write_file path (J.Obj before);
+  update path "runs" (append [ J.Int 2 ]);
+  match read path with
+  | J.Obj after ->
+    check (Alcotest.list Alcotest.string) "key order" (List.map fst before)
+      (List.map fst after);
+    List.iter
+      (fun (k, v) ->
+        if k <> "runs" then check json k v (List.assoc k after))
+      before
+  | v -> Alcotest.failf "not an object: %s" (J.to_string v)
+
+let test_update_refuses_garbage () =
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun bytes ->
+      let path = Filename.concat dir "bench.json" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      (match
+         J.update_file path ~key:"runs" (fun _ ->
+             Alcotest.fail "update applied to an unreadable file")
+       with
+      | Ok () -> Alcotest.failf "%S accepted" bytes
+      | Error msg ->
+        check Alcotest.bool "error names the file" true (contains msg path));
+      check Alcotest.string "bytes unchanged" bytes
+        (In_channel.with_open_bin path In_channel.input_all))
+    [ "{\"runs\": [1, 2"; ""; "[1, 2]" ]
+
+let test_update_leaves_no_tmp () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "bench.json" in
+  update path "a" (fun _ -> J.Int 1);
+  update path "b" (fun _ -> J.Int 2);
+  check (Alcotest.array Alcotest.string) "only the file itself"
+    [| "bench.json" |] (Sys.readdir dir)
+
 (* ------------------------------------------------------------------ *)
 (* Fig. 2 conformance matrix (E5a): exact expected cells *)
 
@@ -232,6 +334,18 @@ let () =
           Alcotest.test_case "non-finite floats" `Quick
             test_json_nonfinite_floats_are_null;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "update: missing file" `Quick
+            test_update_missing_file;
+          Alcotest.test_case "update: appends in order" `Quick
+            test_update_appends_in_order;
+          Alcotest.test_case "update: missing key" `Quick
+            test_update_missing_key;
+          Alcotest.test_case "update: other keys kept" `Quick
+            test_update_keeps_other_keys;
+          Alcotest.test_case "update: garbage refused" `Quick
+            test_update_refuses_garbage;
+          Alcotest.test_case "update: no tmp left" `Quick
+            test_update_leaves_no_tmp;
         ] );
       ( "fig2 matrix",
         [ Alcotest.test_case "cells" `Quick test_fig2_matrix_cells ] );
