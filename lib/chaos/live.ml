@@ -6,6 +6,7 @@ module Cluster = Runtime.Cluster
 module Clock = Runtime.Clock
 module Transport = Runtime.Transport
 module Live_store = Runtime.Live_store
+module Store = Storage.Store
 module L = Runtime.Live
 
 type violation = { at : Time.t; property : string; detail : string }
@@ -185,7 +186,7 @@ let broadcast_expect ctx label =
 (* One kill/restart cycle with its recovery-time samples. The rejoined
    view must carry a strictly later group id than the one agreed at the
    kill — the live face of the epoch ratchet. [crash] adds
-   machine-crash semantics ({!Live_store.note_crash});
+   machine-crash semantics ({!Store.note_crash});
    [before_restart] runs while the victim is down (the storage
    scenario corrupts the on-disk record there). *)
 let kill_restart ?(downtime = Time.of_ms 100) ?(crash = false) ?before_restart
@@ -196,7 +197,7 @@ let kill_restart ?(downtime = Time.of_ms 100) ?(crash = false) ?before_restart
   ctx.perturbed <- Proc_set.add victim ctx.perturbed;
   let t_kill = Clock.now ctx.clock in
   Node.kill node;
-  if crash then Live_store.note_crash ctx.store ~self:victim;
+  if crash then Store.note_crash ctx.store ~self:victim;
   if settle ctx ~property:"exclusion" (Proc_set.remove victim full) then
     ctx.exclusions <- Time.sub (Clock.now ctx.clock) t_kill :: ctx.exclusions;
   sample_invariants ctx ~phase:"post-exclusion";
@@ -271,7 +272,7 @@ let check_false_suspicions ctx =
 (* Undo every perturbation so the final convergence check starts from
    a healable cluster whatever the scenario body left behind. *)
 let heal ctx =
-  Live_store.set_fault ctx.store None;
+  Store.set_fault ctx.store None;
   List.iter
     (fun nd ->
       if Node.is_up nd then begin
@@ -284,7 +285,7 @@ let heal ctx =
 
 let run_ctx ~name ~n ~seed ~base_port ?params ?store body =
   let store =
-    match store with Some s -> s | None -> Live_store.in_memory ()
+    match store with Some s -> s | None -> Store.in_memory ()
   in
   let cfg = L.config ~n ~base_port ?params ~store () in
   let recorder = L.recorder () in
@@ -325,7 +326,7 @@ let run_ctx ~name ~n ~seed ~base_port ?params ?store body =
   end;
   check_ratchet ctx;
   check_false_suspicions ctx;
-  let stats = Live_store.stats store in
+  let stats = Store.stats store in
   {
     scenario = name;
     seed;
@@ -418,14 +419,13 @@ let storage_chaos =
         let store = Live_store.on_disk ~dir () in
         Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
         run_ctx ~name:"storage-chaos" ~n ~seed ~base_port ~store (fun ctx ->
-            let stats = Live_store.stats ctx.store in
+            let stats = Store.stats ctx.store in
             (* transient EIO: rejoin installs degrade (counted), the
                node keeps running on its in-memory state *)
             let v1 = pick_proc ctx in
-            Live_store.set_fault ctx.store ~proc:v1
-              (Some (Live_store.Io_error Unix.EIO));
+            Store.set_fault ctx.store ~proc:v1 (Some Store.Io_error);
             kill_restart ctx v1;
-            Live_store.set_fault ctx.store ~proc:v1 None;
+            Store.set_fault ctx.store ~proc:v1 None;
             if Stats.count stats "live:store:persist-failed" = 0 then
               violate ctx "store-degrade"
                 "no persist failure recorded under the EIO fault";
@@ -434,19 +434,19 @@ let storage_chaos =
                restores the surviving durable record and discards the
                leftover *)
             let v2 = pick_proc ctx in
-            Live_store.set_fault ctx.store ~proc:v2 (Some Live_store.Torn_write);
+            Store.set_fault ctx.store ~proc:v2 (Some Store.Torn_write);
             kill_restart ctx v2;
-            Live_store.set_fault ctx.store ~proc:v2 None;
+            Store.set_fault ctx.store ~proc:v2 None;
             broadcast_expect ctx "post-torn";
             (* lost flush closed by a machine crash: the unflushed
                record is lost, the last durable one restores, the
                stale-but-valid state rejoins through the ratchet *)
             let v3 = pick_proc ctx in
-            Live_store.set_fault ctx.store ~proc:v3 (Some Live_store.Lost_flush);
+            Store.set_fault ctx.store ~proc:v3 (Some Store.Lost_flush);
             (* cycle a different member so v3 persists view installs
                inside the lost-flush window *)
             kill_restart ctx (pick_other ctx v3);
-            Live_store.set_fault ctx.store ~proc:v3 None;
+            Store.set_fault ctx.store ~proc:v3 None;
             kill_restart ctx v3 ~crash:true;
             broadcast_expect ctx "post-lost-flush";
             (* direct on-disk corruption: the checksum must reject the
@@ -454,7 +454,7 @@ let storage_chaos =
                restart must rejoin at a strictly later group id *)
             let v4 = pick_proc ctx in
             kill_restart ctx v4 ~before_restart:(fun () ->
-                match Live_store.record_path ctx.store ~self:v4 with
+                match Store.record_path ctx.store ~self:v4 with
                 | Some path when Sys.file_exists path -> flip_byte path
                 | _ ->
                   violate ctx "corrupt-setup" "no on-disk record to corrupt");

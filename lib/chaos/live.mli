@@ -5,7 +5,7 @@
     {!Runtime.Live} nodes on localhost, perturbed with the live
     counterparts of the simulator's faults — {!Runtime.Node.kill} /
     [restart] churn, {!Runtime.Transport.impair} windows,
-    {!Runtime.Live_store.set_fault} storage-fault windows, and
+    {!Storage.Store.set_fault} storage-fault windows, and
     {!Runtime.Node.pause} (the SIGSTOP analog). Between and after the
     perturbations it checks the same safety properties as the sim
     runner:
@@ -62,10 +62,10 @@ type scenario = {
       seed-chosen victims (biased toward the decider), a group-wide
       broadcast after each rejoin;
     - ["storage-chaos"] (n=5): an on-disk store under the full
-      {!Runtime.Live_store.fault} palette — transient [EIO] windows
+      {!Storage.Store.fault} palette — transient [EIO] windows
       (bounded-retry-then-degrade, node keeps running), torn writes
       (leftover [.tmp] tolerated on restart), lost-flush windows
-      closed by a machine-crash ({!Runtime.Live_store.note_crash})
+      closed by a machine-crash ({!Storage.Store.note_crash})
       restart, and a direct on-disk bit flip whose restart must reject
       the record by checksum and rejoin at a strictly later group id;
     - ["impair-churn"] (n=5): one directed link impaired (PR 7's

@@ -343,11 +343,7 @@ let op_to_json op =
         ("at", J.Int at);
         ("until", J.Int until);
         ("proc", json_endpoint proc);
-        ( "fault",
-          J.String
-            (match fault with
-            | Storage.Store.Torn_write -> "torn-write"
-            | Storage.Store.Lost_flush -> "lost-flush") );
+        ("fault", J.String (Storage.Store.fault_to_string fault));
       ]
   | Link_window
       {
@@ -452,10 +448,9 @@ let op_of_json j =
     let* until = field "until" J.to_int j in
     let* proc = endpoint_field "proc" j in
     let* fault =
-      match J.member "fault" j with
-      | Some (J.String "torn-write") -> Ok Storage.Store.Torn_write
-      | Some (J.String "lost-flush") -> Ok Storage.Store.Lost_flush
-      | _ -> Error "plan artifact: bad or missing field \"fault\""
+      field "fault"
+        (fun v -> Option.bind (J.to_str v) Storage.Store.fault_of_string)
+        j
     in
     Ok (Storage_fault { at; until; proc; fault })
   | "link-window" ->

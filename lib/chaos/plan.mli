@@ -57,8 +57,9 @@ type op =
       proc : int option;  (** [None] = every process's slot *)
       fault : Storage.Store.fault;
     }
-      (** stable-storage writes inside the window are torn or lose
-          their flush (see {!Storage.Store.fault}) *)
+      (** stable-storage writes inside the window are torn, lose
+          their flush or fail with [EIO] (see {!Storage.Store.fault});
+          the random mix draws only the first two *)
   | Link_window of {
       at : Time.t;
       until : Time.t;

@@ -50,7 +50,9 @@ val config :
 (** [apply] defaults to ignoring updates (membership-only runs).
     [persist]/[restore] default to no storage (every incarnation is
     amnesiac, the seed behaviour); {!Service} wires them to a
-    {!Storage.Store} so recovery is epoch-aware. *)
+    {!Storage.Store} so recovery is epoch-aware. No store reads the
+    hooks' [~now]; it stays in the signature because external
+    callers (the benchmark) build against it. *)
 
 type 'u obs =
   | View_installed of { group : Proc_set.t; group_id : Group_id.t }

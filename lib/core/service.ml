@@ -17,8 +17,7 @@ type ('u, 'app) t = {
   mutable views : (Proc_id.t * view) list; (* newest first *)
 }
 
-let create ?engine_config ?(clocks = Oracle) ?storage_write_latency ?apply
-    ~initial_app params =
+let create ?engine_config ?(clocks = Oracle) ?apply ~initial_app params =
   let base =
     match engine_config with
     | Some c -> c
@@ -37,17 +36,13 @@ let create ?engine_config ?(clocks = Oracle) ?storage_write_latency ?apply
       Clocksync.Oracle.clocks (Engine.rng engine) ~n
         ~epsilon:params.Params.epsilon ~max_drift:1e-6
   in
-  let storage =
-    Storage.Store.create ?write_latency:storage_write_latency ~n ()
-  in
-  (* members persist through the store keyed by their process id; the
-     store's clock is the member's synchronized clock, which under the
-     oracle clock sources stays within epsilon of real time *)
+  let storage = Storage.Store.in_memory () in
+  (* members persist through the store keyed by their process id *)
   let member_cfg =
     Member.config ?apply
-      ~persist:(fun ~self ~now record ->
-        Storage.Store.write storage ~proc:self ~now record)
-      ~restore:(fun ~self ~now -> Storage.Store.read storage ~proc:self ~now)
+      ~persist:(fun ~self ~now:_ record ->
+        Storage.Store.persist storage ~self record)
+      ~restore:(fun ~self ~now:_ -> Storage.Store.restore storage ~self)
       ~initial_app params
   in
   let automaton = Member.automaton member_cfg in
@@ -154,10 +149,9 @@ let storage t = t.storage
 let crash_at t time p =
   Engine.crash_at t.engine time p;
   (* scheduled after the crash thunk at the same instant (the event
-     heap is stable): the store drops the crashed process's write-back
-     cache and latency-pending writes, keeping only durable records *)
-  Engine.at t.engine time (fun () ->
-      Storage.Store.note_crash t.storage ~proc:p ~now:time)
+     heap is stable): the store drops the crashed process's unflushed
+     writes, keeping only durable records *)
+  Engine.at t.engine time (fun () -> Storage.Store.note_crash t.storage ~self:p)
 let recover_at t time p = Engine.recover_at t.engine time p
 let partition_at t time blocks = Engine.partition_at t.engine time blocks
 let heal_at t time = Engine.heal_at t.engine time

@@ -24,7 +24,6 @@ type ('u, 'app) t
 val create :
   ?engine_config:Engine.config ->
   ?clocks:clocks ->
-  ?storage_write_latency:Time.t ->
   ?apply:('app -> 'u -> 'app) ->
   initial_app:'app ->
   Params.t ->
@@ -36,9 +35,7 @@ val create :
     Every member is wired to a per-process {!Storage.Store} slot: it
     persists its last installed view at each view install and recovers
     its formation epoch from it after a crash (see {!Member.persistent}
-    and {!Broadcast.Group_id}). [storage_write_latency] (default zero,
-    i.e. atomically durable writes) delays durability; a crash inside
-    the window loses the unflushed write. *)
+    and {!Broadcast.Group_id}). *)
 
 val params : ('u, 'app) t -> Params.t
 val engine :
@@ -92,7 +89,8 @@ val storage : ('u, 'app) t -> Member.persistent Storage.Store.t
 
 val crash_at : ('u, 'app) t -> Time.t -> Proc_id.t -> unit
 (** Crash the process at [time] (see [Engine.crash_at]) and drop its
-    store's unflushed writes; durable records survive. *)
+    store's lost-flush writes ({!Storage.Store.note_crash}); durable
+    records survive. *)
 
 val recover_at : ('u, 'app) t -> Time.t -> Proc_id.t -> unit
 val partition_at : ('u, 'app) t -> Time.t -> Proc_set.t list -> unit

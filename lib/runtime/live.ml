@@ -65,8 +65,8 @@ let automaton_of cfg =
     Member.config
       ~apply:(fun log u -> u :: log)
       ~persist:(fun ~self ~now:_ record ->
-        Live_store.persist cfg.store ~self record)
-      ~restore:(fun ~self ~now:_ -> Live_store.restore cfg.store ~self)
+        Storage.Store.persist cfg.store ~self record)
+      ~restore:(fun ~self ~now:_ -> Storage.Store.restore cfg.store ~self)
       ~initial_app:[] cfg.params
   in
   Full_stack.automaton member_cfg cfg.cs_config

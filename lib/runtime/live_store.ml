@@ -2,99 +2,8 @@ open Tasim
 open Broadcast
 open Timewheel
 
-type fault = Torn_write | Lost_flush | Io_error of Unix.error
+type t = Member.persistent Storage.Store.t
 
-let pp_fault ppf = function
-  | Torn_write -> Fmt.string ppf "torn-write"
-  | Lost_flush -> Fmt.string ppf "lost-flush"
-  | Io_error e -> Fmt.pf ppf "io-error:%s" (Unix.error_message e)
-
-let persist_attempts = 3
-
-type counters = {
-  persisted : Stats.counter;
-  persist_failed : Stats.counter;
-  retried : Stats.counter;
-  fault_torn : Stats.counter;
-  fault_lost : Stats.counter;
-  fault_io : Stats.counter;
-  restored : Stats.counter;
-  restore_corrupt : Stats.counter;
-  restore_missing : Stats.counter;
-  tmp_discarded : Stats.counter;
-}
-
-type backend =
-  | Memory of {
-      durable : (int, Member.persistent) Hashtbl.t;
-      cached : (int, Member.persistent) Hashtbl.t;
-          (* lost-flush writes: visible to this incarnation, gone
-             after a machine crash (note_crash) *)
-    }
-  | Disk of {
-      dir : string;
-      shadow : (int, string option) Hashtbl.t;
-          (* per member: the last bytes known flushed, captured before
-             the first lost-flush overwrite; an entry means the file
-             may be ahead of the disk and note_crash must revert it *)
-    }
-
-type t = {
-  backend : backend;
-  stats : Stats.t;
-  c : counters;
-  mutable fault_all : fault option;
-  fault_per : (int, fault option) Hashtbl.t;
-}
-
-let counters stats =
-  {
-    persisted = Stats.counter stats "live:store:persist";
-    persist_failed = Stats.counter stats "live:store:persist-failed";
-    retried = Stats.counter stats "live:store:retry";
-    fault_torn = Stats.counter stats "live:store:fault:torn-write";
-    fault_lost = Stats.counter stats "live:store:fault:lost-flush";
-    fault_io = Stats.counter stats "live:store:fault:io-error";
-    restored = Stats.counter stats "live:store:restore";
-    restore_corrupt = Stats.counter stats "live:store:restore-corrupt";
-    restore_missing = Stats.counter stats "live:store:restore-missing";
-    tmp_discarded = Stats.counter stats "live:store:tmp-discarded";
-  }
-
-let create backend stats =
-  {
-    backend;
-    stats;
-    c = counters stats;
-    fault_all = None;
-    fault_per = Hashtbl.create 4;
-  }
-
-let in_memory ?stats () =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  create
-    (Memory { durable = Hashtbl.create 8; cached = Hashtbl.create 8 })
-    stats
-
-let on_disk ?stats ~dir () =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  create (Disk { dir; shadow = Hashtbl.create 8 }) stats
-
-let stats t = t.stats
-
-let set_fault t ?proc f =
-  match proc with
-  | Some p -> Hashtbl.replace t.fault_per (Proc_id.to_int p) f
-  | None ->
-    t.fault_all <- f;
-    Hashtbl.reset t.fault_per
-
-let fault_of t proc =
-  match Hashtbl.find_opt t.fault_per (Proc_id.to_int proc) with
-  | Some f -> f
-  | None -> t.fault_all
-
-(* ------------------------------------------------------------------ *)
 (* Record codec: "TWST2" magic | epoch | seq | member list | CRC-32.
 
    The CRC covers everything before it and is stored as four raw
@@ -160,250 +69,11 @@ let persistent_of_wire s =
       | exception Invalid_argument _ -> None
   end
 
-(* ------------------------------------------------------------------ *)
-(* Disk plumbing *)
+let in_memory ?stats () = Storage.Store.in_memory ?stats ()
 
-let file_of dir proc =
-  Filename.concat dir (Printf.sprintf "member-%d.tw" (Proc_id.to_int proc))
+let on_disk ?stats ~dir () =
+  Storage.Store.on_disk ?stats ~dir ~encode:wire_of_persistent
+    ~decode:persistent_of_wire ()
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_all fd s ~len =
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-(* Directory fsync is what makes the rename itself durable; some
-   filesystems refuse to open a directory read-only, so failure here
-   is tolerated rather than treated as a failed persist. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
-let unlink_quietly path =
-  try Sys.remove path with Sys_error _ -> ()
-
-(* One full-durability write attempt: tmp, write, fsync, close,
-   rename, fsync dir. Any failure (including an injected one) closes
-   the descriptor and removes the tmp file before re-raising — the
-   previous durable record is never at risk and nothing leaks. *)
-let durable_write ?inject_error dir path ~len s =
-  mkdir_p dir;
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-      0o644
-  in
-  (match
-     (match inject_error with
-     | Some e -> raise (Unix.Unix_error (e, "write", tmp))
-     | None -> ());
-     write_all fd s ~len;
-     Unix.fsync fd
-   with
-  | () -> ()
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    unlink_quietly tmp;
-    raise e);
-  (match Unix.close fd with
-  | () -> ()
-  | exception e ->
-    unlink_quietly tmp;
-    raise e);
-  (match Sys.rename tmp path with
-  | () -> ()
-  | exception e ->
-    unlink_quietly tmp;
-    raise e);
-  fsync_dir dir
-
-let read_record_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Capture the current on-disk bytes as the durable baseline before a
-   lost-flush write makes the file run ahead of the disk. Only the
-   first capture matters: later durable writes clear the entry. *)
-let ensure_shadow d proc path =
-  let i = Proc_id.to_int proc in
-  if not (Hashtbl.mem d i) then
-    Hashtbl.replace d i
-      (match read_record_bytes path with
-      | bytes -> Some bytes
-      | exception (Sys_error _ | End_of_file) -> None)
-
-(* ------------------------------------------------------------------ *)
-
-let persist t ~self record =
-  match t.backend with
-  | Memory m -> (
-    match fault_of t self with
-    | Some Torn_write ->
-      (* the write tears before it lands anywhere *)
-      Stats.bump t.c.fault_torn;
-      Stats.bump t.c.persist_failed
-    | Some Lost_flush ->
-      Stats.bump t.c.fault_lost;
-      Hashtbl.replace m.cached (Proc_id.to_int self) record;
-      Stats.bump t.c.persisted
-    | Some (Io_error _) ->
-      for _ = 2 to persist_attempts do
-        Stats.bump t.c.retried
-      done;
-      Stats.bump t.c.fault_io;
-      Stats.bump t.c.persist_failed
-    | None ->
-      Hashtbl.replace m.durable (Proc_id.to_int self) record;
-      Hashtbl.remove m.cached (Proc_id.to_int self);
-      Stats.bump t.c.persisted)
-  | Disk d -> (
-    let path = file_of d.dir self in
-    let s = wire_of_persistent record in
-    let len = String.length s in
-    match fault_of t self with
-    | Some Torn_write ->
-      (* half the record reaches the tmp file, then the writer "dies":
-         no fsync, no rename — the torn tmp is left behind exactly as
-         a crashed writer would leave it, and the durable record
-         survives untouched *)
-      Stats.bump t.c.fault_torn;
-      Stats.bump t.c.persist_failed;
-      (try
-         mkdir_p d.dir;
-         let tmp = path ^ ".tmp" in
-         let fd =
-           Unix.openfile tmp
-             [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-             0o644
-         in
-         (try write_all fd s ~len:(len / 2)
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e);
-         Unix.close fd
-       with Sys_error _ | Unix.Unix_error _ | End_of_file -> ())
-    | Some Lost_flush ->
-      Stats.bump t.c.fault_lost;
-      (try
-         mkdir_p d.dir;
-         ensure_shadow d.shadow self path;
-         (* visible to this incarnation, but nothing was flushed: a
-            machine crash (note_crash) reverts to the shadow *)
-         let tmp = path ^ ".tmp" in
-         let fd =
-           Unix.openfile tmp
-             [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-             0o644
-         in
-         (try write_all fd s ~len
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            unlink_quietly tmp;
-            raise e);
-         Unix.close fd;
-         Sys.rename tmp path;
-         Stats.bump t.c.persisted
-       with Sys_error _ | Unix.Unix_error _ | End_of_file ->
-         Stats.bump t.c.persist_failed)
-    | (Some (Io_error _) | None) as f ->
-      let inject_error =
-        match f with Some (Io_error e) -> Some e | _ -> None
-      in
-      let rec attempt k =
-        match durable_write ?inject_error d.dir path ~len s with
-        | () ->
-          (* the file now matches the disk: nothing left to revert *)
-          Hashtbl.remove d.shadow (Proc_id.to_int self);
-          Stats.bump t.c.persisted
-        | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) ->
-          if k < persist_attempts then begin
-            Stats.bump t.c.retried;
-            attempt (k + 1)
-          end
-          else begin
-            (* degrade: the node keeps running on in-memory state; the
-               previous durable record is intact for the next restart *)
-            if inject_error <> None then Stats.bump t.c.fault_io;
-            Stats.bump t.c.persist_failed
-          end
-      in
-      attempt 1)
-
-let record_path t ~self =
-  match t.backend with
-  | Memory _ -> None
-  | Disk d -> Some (file_of d.dir self)
-
-let note_crash t ~self =
-  match t.backend with
-  | Memory m -> Hashtbl.remove m.cached (Proc_id.to_int self)
-  | Disk d -> (
-    let i = Proc_id.to_int self in
-    match Hashtbl.find_opt d.shadow i with
-    | None -> ()
-    | Some baseline ->
-      Hashtbl.remove d.shadow i;
-      let path = file_of d.dir self in
-      (match baseline with
-      | Some bytes -> (
-        try durable_write d.dir path ~len:(String.length bytes) bytes
-        with Sys_error _ | Unix.Unix_error _ | End_of_file -> ())
-      | None -> unlink_quietly path))
-
-let restore t ~self =
-  match t.backend with
-  | Memory m -> (
-    let i = Proc_id.to_int self in
-    match Hashtbl.find_opt m.cached i with
-    | Some _ as c ->
-      Stats.bump t.c.restored;
-      c
-    | None -> (
-      match Hashtbl.find_opt m.durable i with
-      | Some _ as r ->
-        Stats.bump t.c.restored;
-        r
-      | None ->
-        Stats.bump t.c.restore_missing;
-        None))
-  | Disk d -> (
-    let path = file_of d.dir self in
-    (* a leftover tmp is the debris of a writer that died between
-       open and rename; it never became the record, so discard it *)
-    let tmp = path ^ ".tmp" in
-    if Sys.file_exists tmp then begin
-      Stats.bump t.c.tmp_discarded;
-      unlink_quietly tmp
-    end;
-    if not (Sys.file_exists path) then begin
-      Stats.bump t.c.restore_missing;
-      None
-    end
-    else
-      match read_record_bytes path with
-      | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) ->
-        (* a directory squatting on the path, a permission error, a
-           file shrinking under us: all amnesiac, never an exception *)
-        Stats.bump t.c.restore_corrupt;
-        None
-      | bytes -> (
-        match persistent_of_wire bytes with
-        | Some _ as r ->
-          Stats.bump t.c.restored;
-          r
-        | None ->
-          Stats.bump t.c.restore_corrupt;
-          None))
+let persist = Storage.Store.persist
+let restore = Storage.Store.restore

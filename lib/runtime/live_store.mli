@@ -1,100 +1,33 @@
-(** Stable storage for live members.
+(** Stable storage for live members: {!Storage.Store} holding the
+    {!Timewheel.Member.persistent} record, with its on-disk codec.
 
-    The member automaton persists its {!Timewheel.Member.persistent}
-    record (last installed group id + membership) at every view
-    install and restores it at (re)initialization, which is what makes
-    a restart rejoin epoch-aware instead of amnesiac (see
-    {!Broadcast.Group_id}). Two backends:
-
-    - {!in_memory} — survives kill/restart of a member {e within} one
-      OS process (the in-process multi-instance mode's model of stable
-      storage);
-    - {!on_disk} — one small binary file per member, written with full
-      durability (write, fsync, atomic rename, fsync of the directory)
-      and a CRC-32 trailer, surviving OS process restarts for the
-      one-process-per-member mode.
-
-    {2 Durability contract}
-
-    - A record that {!restore} returns was accepted by its checksum: a
-      torn write, a bit flip, truncation or trailing garbage on disk
-      can never restore as valid state (it restores as [None],
-      counted, and the member starts amnesiac — which the epoch
-      machinery already tolerates).
-    - {!persist} never raises and never leaks: on any write error the
-      out-channel is closed and the [.tmp] file removed; the previous
-      durable record survives. Transient errors are retried up to
-      {!persist_attempts} times, then the store {e degrades} — the
-      node keeps running on its in-memory state, the failure is
-      counted ([live:store:persist-failed]), and only a restart whose
-      {!restore} genuinely fails rejoins amnesiac.
-    - {!restore} is total: a missing file, a directory squatting on the
-      record path, a permission error, a leftover [.tmp] from a
-      crashed writer — all restore as [Some] previous-valid-record or
-      [None], never an exception. A leftover [.tmp] is discarded.
-
-    {2 Fault hook}
-
-    {!set_fault} mirrors {!Storage.Store.set_fault} for the live
-    plane: [Torn_write] tears the record write mid-way (a prefix lands
-    in the [.tmp] file, which is left behind; the durable record
-    survives), [Lost_flush] completes the write visibly but skips the
-    flush (this incarnation reads it back; {!note_crash} — the chaos
-    driver's machine-crash analog — reverts to the last durable
-    record), [Io_error] fails every write attempt with the given errno
-    (exercising the bounded-retry-then-degrade path). All outcomes are
-    counted under [live:store:*] in {!stats}. *)
+    The member automaton persists its record (last installed group id
+    + membership) at every view install and restores it at
+    (re)initialization, which is what makes a restart rejoin
+    epoch-aware instead of amnesiac (see {!Broadcast.Group_id}). The
+    store's backends, durability contract and fault hook are
+    {!Storage.Store}'s; this module only fixes the record type and
+    the bytes an on-disk record is made of. *)
 
 open Tasim
 open Timewheel
 
-type t
-
-type fault =
-  | Torn_write  (** the write tears: half the record, no rename *)
-  | Lost_flush  (** visible write, flush dropped; see {!note_crash} *)
-  | Io_error of Unix.error  (** every write attempt fails with this *)
-
-val pp_fault : fault Fmt.t
-
-val persist_attempts : int
-(** Write attempts per {!persist} before degrading (3). *)
+type t = Member.persistent Storage.Store.t
 
 val in_memory : ?stats:Stats.t -> unit -> t
+(** {!Storage.Store.in_memory}: survives kill/restart of a member
+    {e within} one OS process (the in-process multi-instance mode). *)
 
 val on_disk : ?stats:Stats.t -> dir:string -> unit -> t
-(** Creates [dir] (and parents) on first persist. Unreadable or
-    corrupt files restore as [None] — an amnesiac (epoch-0) start,
-    which the epoch machinery already tolerates. *)
-
-val stats : t -> Stats.t
-(** The store's [live:store:*] counters: [persist], [persist-failed],
-    [retry], [fault:torn-write], [fault:lost-flush], [fault:io-error],
-    [restore], [restore-corrupt], [restore-missing],
-    [tmp-discarded]. *)
-
-val set_fault : t -> ?proc:Proc_id.t -> fault option -> unit
-(** Install (or clear, with [None]) a fault for one member's writes,
-    or — without [?proc] — for every member's, clearing per-member
-    overrides. *)
-
-val note_crash : t -> self:Proc_id.t -> unit
-(** Machine-crash semantics for the chaos driver: discard whatever
-    [self] wrote but never flushed (lost-flush writes), reverting to
-    the last durable record. A node {e kill} alone does not lose
-    flushed state; call this when the scenario means the whole machine
-    died inside a lost-flush window. *)
+(** {!Storage.Store.on_disk} with the record codec below: one file per
+    member, surviving OS process restarts for the
+    one-process-per-member mode. *)
 
 val persist : t -> self:Proc_id.t -> Member.persistent -> unit
 val restore : t -> self:Proc_id.t -> Member.persistent option
 
-val record_path : t -> self:Proc_id.t -> string option
-(** The on-disk record file for [self]; [None] for the in-memory
-    backend. For tests and the chaos driver's direct on-disk
-    corruption. *)
-
 val wire_of_persistent : Member.persistent -> string
 val persistent_of_wire : string -> Member.persistent option
-(** Exposed for tests: the on-disk record codec ([TWST2] magic,
-    payload, CRC-32 trailer). [persistent_of_wire] rejects any
-    mutation of a valid record. *)
+(** The on-disk record codec ([TWST2] magic, payload, CRC-32 trailer).
+    [persistent_of_wire] rejects any mutation of a valid record, so a
+    torn, truncated or bit-flipped file restores as [None]. *)

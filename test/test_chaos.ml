@@ -81,6 +81,13 @@ let every_op_plan =
             proc = None;
             fault = Storage.Store.Lost_flush;
           };
+        Plan.Storage_fault
+          {
+            at = Time.of_ms 1400;
+            until = Time.of_ms 1450;
+            proc = Some 0;
+            fault = Storage.Store.Io_error;
+          };
         Plan.Link_window
           {
             at = Time.of_ms 1500;
@@ -117,7 +124,28 @@ let test_plan_json_roundtrip () =
   check Alcotest.bool "garbage rejected" true
     (match Plan.of_json (Harness.Bench_json.Obj [ ("seed", Harness.Bench_json.Int 1) ]) with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* a storage fault travels by its Storage.Store name; any other name
+     is refused *)
+  let unknown_fault =
+    Plan.to_json
+      {
+        every_op_plan with
+        Plan.ops =
+          [
+            Plan.Storage_fault
+              { at = 0; until = 1; proc = None; fault = Storage.Store.Io_error };
+          ];
+      }
+    |> Harness.Bench_json.to_string
+    |> String.split_on_char '"'
+    |> List.map (function "io-error" -> "melted" | s -> s)
+    |> String.concat "\""
+  in
+  check Alcotest.bool "unknown fault name rejected" true
+    (match Harness.Bench_json.of_string unknown_fault with
+    | Ok j -> Result.is_error (Plan.of_json j)
+    | Error _ -> false)
 
 let test_plan_file_roundtrip () =
   let file = Filename.temp_file "chaos-plan" ".json" in
@@ -296,6 +324,76 @@ let test_slow_member_plan_converges () =
   let outcome = Runner.run plan in
   check Alcotest.bool "no violation" true (Runner.ok outcome)
 
+(* The degrade path in the simulator: p1's writes fail with EIO over
+   the view install that excludes p4, so its store keeps the full
+   formation view. p1 then crashes and recovers inside the window: the
+   record it recovers from must be that previous full view, the failed
+   persists must be counted, and the run must stay clean. *)
+let test_io_error_degrade_plan () =
+  let p1 = Proc_id.of_int 1 in
+  let plan =
+    {
+      Plan.seed = 31;
+      n = 5;
+      ops =
+        [
+          Plan.Storage_fault
+            {
+              at = Time.zero;
+              until = Time.of_sec 4;
+              proc = Some 1;
+              fault = Storage.Store.Io_error;
+            };
+          Plan.Crash { at = Time.of_ms 200; proc = 4 };
+          Plan.Crash { at = Time.of_ms 1500; proc = 1 };
+          Plan.Recover { at = Time.of_ms 3000; proc = 1 };
+          Plan.Recover { at = Time.of_ms 3200; proc = 4 };
+        ];
+    }
+  in
+  let svc = ref None in
+  let p1_views = ref [] in
+  let probe s =
+    svc := Some s;
+    Timewheel.Service.on_view s (fun p v ->
+        if Proc_id.equal p p1 then p1_views := v :: !p1_views)
+  in
+  (* while p1 is down, sample the record it will recover from *)
+  let while_down = ref None in
+  let sample s =
+    let engine = Timewheel.Service.engine s in
+    if not (Engine.is_up engine p1) then
+      while_down :=
+        Storage.Store.restore (Timewheel.Service.storage s) ~self:p1;
+    Timewheel.Invariant.(check_all ~n:(Engine.n engine) (take engine))
+  in
+  let outcome = Runner.run ~probe ~check:sample plan in
+  check Alcotest.bool "no violation" true (Runner.ok outcome);
+  let store =
+    match !svc with
+    | Some s -> Timewheel.Service.storage s
+    | None -> Alcotest.fail "probe not called"
+  in
+  check Alcotest.bool "failed persists counted" true
+    (Stats.count (Storage.Store.stats store) "live:store:persist-failed" > 0);
+  let full (v : Timewheel.Service.view) = Proc_set.cardinal v.group = 5 in
+  check Alcotest.bool "p1 installed a view excluding p4 under the fault" true
+    (List.exists (fun v -> not (full v)) !p1_views);
+  (* p1's last full view before it first installed a smaller one *)
+  let rec last_full_before_shrink = function
+    | v :: (w :: _ as rest) ->
+      if full v && not (full w) then Some v else last_full_before_shrink rest
+    | _ -> None
+  in
+  match (last_full_before_shrink (List.rev !p1_views), !while_down) with
+  | Some v, Some r ->
+    check Alcotest.bool "recovers from the previous full view" true
+      (Broadcast.Group_id.equal r.Timewheel.Member.last_group_id
+         v.Timewheel.Service.group_id
+      && Proc_set.equal r.Timewheel.Member.last_group v.group)
+  | None, _ -> Alcotest.fail "p1 never shrank from a full view"
+  | _, None -> Alcotest.fail "no record to recover from while p1 was down"
+
 (* The scenario adaptive suspicion exists for: one slow member whose
    inbound decisions keep getting late-rejected. With the fixed 2D
    deadline the slow member wrongly suspects its timely peers; with
@@ -457,6 +555,8 @@ let () =
             test_link_window_plan_converges;
           Alcotest.test_case "slow member: adaptive suspicion contrast" `Quick
             test_slow_member_adaptive_contrast;
+          Alcotest.test_case "io-error window: degrade, then recover" `Quick
+            test_io_error_degrade_plan;
         ] );
       ( "sweep",
         [

@@ -30,9 +30,7 @@ let test_single_crash_recover_rejoin () =
     check Alcotest.int "still epoch 0" 0 (Group_id.epoch v.Service.group_id);
     (* the rejoined member's stable record tracks the agreed view *)
     let store = Service.storage svc in
-    (match
-       Storage.Store.durable store ~proc:(pid 2) ~now:(Service.now svc)
-     with
+    (match Storage.Store.restore store ~self:(pid 2) with
     | None -> Alcotest.fail "rejoined member has no durable record"
     | Some r ->
       check gid_t "persisted group id" v.Service.group_id
@@ -79,7 +77,7 @@ let test_mass_crash_single_epoch () =
     let store = Service.storage svc in
     List.iter
       (fun p ->
-        match Storage.Store.durable store ~proc:p ~now:(Service.now svc) with
+        match Storage.Store.restore store ~self:p with
         | None -> Alcotest.failf "no durable record at %a" Proc_id.pp p
         | Some r ->
           check gid_t

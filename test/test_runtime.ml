@@ -456,44 +456,6 @@ let store_round_trip () =
        (String.sub (Live_store.wire_of_persistent record) 0 6)
     = None)
 
-let store_memory () =
-  let store = Live_store.in_memory () in
-  Alcotest.(check bool) "fresh store is empty" true
-    (Live_store.restore store ~self:(pid 1) = None);
-  let record =
-    { Member.last_group_id = { Group_id.epoch = 1; seq = 2 };
-      last_group = Proc_set.of_list [ pid 1 ] }
-  in
-  Live_store.persist store ~self:(pid 1) record;
-  (match Live_store.restore store ~self:(pid 1) with
-  | Some r ->
-    Alcotest.(check bool) "persisted id" true
-      (Group_id.equal r.Member.last_group_id record.Member.last_group_id)
-  | None -> Alcotest.fail "persisted record not restored");
-  Alcotest.(check bool) "per-member isolation" true
-    (Live_store.restore store ~self:(pid 2) = None)
-
-let store_disk () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "timewheel-store-%d" (Unix.getpid ()))
-  in
-  let store = Live_store.on_disk ~dir () in
-  let record =
-    { Member.last_group_id = { Group_id.epoch = 2; seq = 9 };
-      last_group = Proc_set.of_list [ pid 0; pid 2 ] }
-  in
-  Live_store.persist store ~self:(pid 0) record;
-  (* a second handle on the same directory models a process restart *)
-  (match Live_store.restore (Live_store.on_disk ~dir ()) ~self:(pid 0) with
-  | Some r ->
-    Alcotest.(check bool) "record survives reopen" true
-      (Group_id.equal r.Member.last_group_id record.Member.last_group_id
-      && Proc_set.equal r.Member.last_group record.Member.last_group)
-  | None -> Alcotest.fail "on-disk record not restored");
-  Alcotest.(check bool) "absent member restores as None" true
-    (Live_store.restore store ~self:(pid 7) = None)
-
 (* ------------------------------------------------------------------ *)
 (* checksum and corruption totality: a corrupted record must never
    restore as valid state — that would silently violate the epoch
@@ -553,7 +515,10 @@ let store_codec_round_trip =
       | None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* the fault palette against a real directory *)
+(* store conformance: the same cases against both Storage.Store
+   backends *)
+
+module Store = Storage.Store
 
 let rec rm_rf path =
   match (Unix.lstat path).Unix.st_kind with
@@ -579,109 +544,172 @@ let record_v2 =
   { Member.last_group_id = { Group_id.epoch = 1; seq = 4 };
     last_group = Proc_set.of_list [ pid 0; pid 1 ] }
 
-let restored_gid store self =
-  match Live_store.restore store ~self with
-  | Some r -> Some r.Member.last_group_id
-  | None -> None
+(* [self] restores a record with [expected]'s group id, or none *)
+let check_gid msg store self (expected : Member.persistent option) =
+  let gid = Option.map (fun r -> r.Member.last_group_id) in
+  Alcotest.(check bool) msg true (gid (Store.restore store ~self) = gid expected)
+
+let count store name = Stats.count (Store.stats store) ("live:store:" ^ name)
+
+let empty_store store =
+  check_gid "fresh store is empty" store (pid 1) None;
+  Alcotest.(check int) "restore-missing counted" 1 (count store "restore-missing");
+  Alcotest.(check int) "nothing restored" 0 (count store "restore")
+
+let round_trip_isolation store =
+  Store.persist store ~self:(pid 1) record_v1;
+  check_gid "persisted record restores" store (pid 1) (Some record_v1);
+  check_gid "other process still empty" store (pid 2) None;
+  Store.persist store ~self:(pid 2) record_v2;
+  check_gid "second process's record" store (pid 2) (Some record_v2);
+  check_gid "first process unaffected" store (pid 1) (Some record_v1);
+  Store.persist store ~self:(pid 1) record_v2;
+  check_gid "overwrite replaces" store (pid 1) (Some record_v2);
+  (match Store.restore store ~self:(pid 2) with
+  | Some r ->
+    Alcotest.(check bool) "membership round-trips" true
+      (Proc_set.equal r.Member.last_group record_v2.Member.last_group)
+  | None -> Alcotest.fail "record lost");
+  Alcotest.(check int) "every persist counted" 3 (count store "persist")
+
+let torn_write_keeps_previous store =
+  Store.persist store ~self:(pid 0) record_v1;
+  Store.set_fault store ~proc:(pid 0) (Some Store.Torn_write);
+  Store.persist store ~self:(pid 0) record_v2;
+  check_gid "the running process reads the old record" store (pid 0)
+    (Some record_v1);
+  Store.note_crash store ~self:(pid 0);
+  check_gid "and so does its next incarnation" store (pid 0) (Some record_v1);
+  Alcotest.(check int) "torn fault counted" 1 (count store "fault:torn-write");
+  Alcotest.(check int) "failure counted" 1 (count store "persist-failed")
+
+let lost_flush_revert store =
+  Store.persist store ~self:(pid 0) record_v1;
+  Store.set_fault store ~proc:(pid 0) (Some Store.Lost_flush);
+  Store.persist store ~self:(pid 0) record_v2;
+  (* visible to this incarnation — the kernel had the pages — ... *)
+  check_gid "unflushed write visible" store (pid 0) (Some record_v2);
+  (* ...but a machine crash loses it: revert to the record known flushed *)
+  Store.note_crash store ~self:(pid 0);
+  check_gid "machine crash reverts to the durable record" store (pid 0)
+    (Some record_v1);
+  (* with no durable baseline at all, the crash loses everything *)
+  Store.set_fault store ~proc:(pid 3) (Some Store.Lost_flush);
+  Store.persist store ~self:(pid 3) record_v2;
+  check_gid "visible before the crash" store (pid 3) (Some record_v2);
+  Store.note_crash store ~self:(pid 3);
+  check_gid "nothing durable to revert to" store (pid 3) None;
+  Alcotest.(check int) "lost flushes counted" 2 (count store "fault:lost-flush")
+
+let io_error_degrades store =
+  Store.persist store ~self:(pid 0) record_v1;
+  Store.set_fault store ~proc:(pid 0) (Some Store.Io_error);
+  (* bounded retries, then degrade — never an exception *)
+  Store.persist store ~self:(pid 0) record_v2;
+  Alcotest.(check int) "retries" (Store.persist_attempts - 1) (count store "retry");
+  Alcotest.(check int) "failure counted" 1 (count store "persist-failed");
+  Alcotest.(check int) "io fault counted" 1 (count store "fault:io-error");
+  check_gid "old record intact" store (pid 0) (Some record_v1);
+  (* the fault clears and the store recovers *)
+  Store.set_fault store ~proc:(pid 0) None;
+  Store.persist store ~self:(pid 0) record_v2;
+  check_gid "recovered after the fault window" store (pid 0) (Some record_v2)
+
+let store_wide_fault_override store =
+  Store.set_fault store (Some Store.Torn_write);
+  Store.set_fault store ~proc:(pid 1) None;
+  Store.persist store ~self:(pid 0) record_v1;
+  Store.persist store ~self:(pid 1) record_v1;
+  check_gid "store-wide fault tears" store (pid 0) None;
+  check_gid "per-process override wins" store (pid 1) (Some record_v1);
+  (* a store-wide setting clears every override *)
+  Store.set_fault store (Some Store.Torn_write);
+  Store.persist store ~self:(pid 1) record_v2;
+  check_gid "override cleared by the store-wide fault" store (pid 1)
+    (Some record_v1);
+  Store.set_fault store None;
+  Store.persist store ~self:(pid 0) record_v2;
+  check_gid "store-wide clear" store (pid 0) (Some record_v2)
+
+let conformance with_store =
+  List.map
+    (fun (name, case) ->
+      Alcotest.test_case name `Quick (fun () -> with_store case))
+    [
+      ("empty store restores None", empty_store);
+      ("round trip and per-process isolation", round_trip_isolation);
+      ("torn write keeps the previous record", torn_write_keeps_previous);
+      ("lost flush: note_crash reverts", lost_flush_revert);
+      ("io-error: bounded retry then degrade", io_error_degrades);
+      ("store-wide fault, per-process override", store_wide_fault_override);
+    ]
+
+let with_memory_store f = f (Store.in_memory ())
+
+let with_disk_store f =
+  with_store_dir "conformance" @@ fun dir -> f (Live_store.on_disk ~dir ())
+
+(* ------------------------------------------------------------------ *)
+(* what only the on-disk backend has: reopen, tmp debris, totality *)
 
 let no_tmp_litter dir =
   Array.for_all
     (fun f -> not (Filename.check_suffix f ".tmp"))
     (Sys.readdir dir)
 
-let store_io_error_degrades () =
-  with_store_dir "eio" @@ fun dir ->
+let store_disk () =
+  with_store_dir "reopen" @@ fun dir ->
   let store = Live_store.on_disk ~dir () in
-  let stats = Live_store.stats store in
-  Live_store.persist store ~self:(pid 0) record_v1;
-  Live_store.set_fault store ~proc:(pid 0)
-    (Some (Live_store.Io_error Unix.EIO));
-  Live_store.persist store ~self:(pid 0) record_v2;
-  (* bounded retries, then degrade — never an exception *)
-  Alcotest.(check int) "retries" (Live_store.persist_attempts - 1)
-    (Stats.count stats "live:store:retry");
-  Alcotest.(check int) "failure counted" 1
-    (Stats.count stats "live:store:persist-failed");
-  Alcotest.(check int) "io fault counted" 1
-    (Stats.count stats "live:store:fault:io-error");
-  (* the failed attempts leak no tmp file *)
+  Store.persist store ~self:(pid 0) record_v1;
+  (* a second handle on the same directory models a process restart *)
+  check_gid "record survives reopen" (Live_store.on_disk ~dir ()) (pid 0)
+    (Some record_v1);
+  (* failed attempts leak no tmp file, and a restart still sees the
+     previous record *)
+  Store.set_fault store (Some Store.Io_error);
+  Store.persist store ~self:(pid 0) record_v2;
   Alcotest.(check bool) "no .tmp litter" true (no_tmp_litter dir);
-  (* the previous durable record is intact, as a restart would see it *)
-  Alcotest.(check bool) "old record intact" true
-    (restored_gid (Live_store.on_disk ~dir ()) (pid 0)
-    = Some record_v1.Member.last_group_id);
-  (* the fault clears and the store recovers *)
-  Live_store.set_fault store ~proc:(pid 0) None;
-  Live_store.persist store ~self:(pid 0) record_v2;
-  Alcotest.(check bool) "recovered after the fault window" true
-    (restored_gid store (pid 0) = Some record_v2.Member.last_group_id)
+  check_gid "old record survives reopen" (Live_store.on_disk ~dir ()) (pid 0)
+    (Some record_v1)
 
 let store_torn_write_tolerated () =
   with_store_dir "torn" @@ fun dir ->
   let store = Live_store.on_disk ~dir () in
-  Live_store.persist store ~self:(pid 0) record_v1;
-  Live_store.set_fault store ~proc:(pid 0) (Some Live_store.Torn_write);
-  Live_store.persist store ~self:(pid 0) record_v2;
-  Alcotest.(check int) "torn fault counted" 1
-    (Stats.count (Live_store.stats store) "live:store:fault:torn-write");
+  Store.persist store ~self:(pid 0) record_v1;
+  Store.set_fault store ~proc:(pid 0) (Some Store.Torn_write);
+  Store.persist store ~self:(pid 0) record_v2;
   (* the crashed writer leaves its half-written tmp behind *)
   Alcotest.(check bool) "torn .tmp left behind" true (not (no_tmp_litter dir));
   (* a restart (fresh handle) discards the debris and restores the
      last durable record *)
   let store2 = Live_store.on_disk ~dir () in
-  Alcotest.(check bool) "durable record survives the tear" true
-    (restored_gid store2 (pid 0) = Some record_v1.Member.last_group_id);
+  check_gid "durable record survives the tear" store2 (pid 0) (Some record_v1);
   Alcotest.(check int) "tmp discarded on restore" 1
-    (Stats.count (Live_store.stats store2) "live:store:tmp-discarded");
+    (count store2 "tmp-discarded");
   Alcotest.(check bool) "debris gone" true (no_tmp_litter dir)
-
-let store_lost_flush_revert () =
-  with_store_dir "lost" @@ fun dir ->
-  let store = Live_store.on_disk ~dir () in
-  Live_store.persist store ~self:(pid 0) record_v1;
-  Live_store.set_fault store ~proc:(pid 0) (Some Live_store.Lost_flush);
-  Live_store.persist store ~self:(pid 0) record_v2;
-  (* visible to this incarnation — the kernel had the pages — ... *)
-  Alcotest.(check bool) "unflushed write visible" true
-    (restored_gid store (pid 0) = Some record_v2.Member.last_group_id);
-  (* ...but a machine crash loses it: revert to the bytes known flushed *)
-  Live_store.note_crash store ~self:(pid 0);
-  Alcotest.(check bool) "machine crash reverts to durable bytes" true
-    (restored_gid store (pid 0) = Some record_v1.Member.last_group_id);
-  (* with no durable baseline at all, the crash loses everything *)
-  Live_store.set_fault store ~proc:(pid 3) (Some Live_store.Lost_flush);
-  Live_store.persist store ~self:(pid 3) record_v2;
-  Alcotest.(check bool) "visible before the crash" true
-    (restored_gid store (pid 3) = Some record_v2.Member.last_group_id);
-  Live_store.note_crash store ~self:(pid 3);
-  Alcotest.(check bool) "nothing durable to revert to" true
-    (Live_store.restore store ~self:(pid 3) = None)
 
 let store_restore_total () =
   with_store_dir "total" @@ fun dir ->
   let store = Live_store.on_disk ~dir () in
-  Live_store.persist store ~self:(pid 1) record_v1;
+  Store.persist store ~self:(pid 1) record_v1;
   let path_of self =
-    match Live_store.record_path store ~self with
+    match Store.record_path store ~self with
     | Some p -> p
     | None -> Alcotest.fail "disk store must expose a record path"
   in
   (* a directory squatting on the record path *)
   Unix.mkdir (path_of (pid 0)) 0o755;
-  Alcotest.(check bool) "directory at path restores as None" true
-    (Live_store.restore store ~self:(pid 0) = None);
+  check_gid "directory at path restores as None" store (pid 0) None;
   (* an empty file *)
   close_out (open_out_bin (path_of (pid 2)));
-  Alcotest.(check bool) "empty file restores as None" true
-    (Live_store.restore store ~self:(pid 2) = None);
+  check_gid "empty file restores as None" store (pid 2) None;
   (* trailing garbage appended to a valid record *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (path_of (pid 1)) in
   output_string oc "xx";
   close_out oc;
-  Alcotest.(check bool) "trailing garbage restores as None" true
-    (Live_store.restore store ~self:(pid 1) = None);
+  check_gid "trailing garbage restores as None" store (pid 1) None;
   Alcotest.(check int) "every corruption counted" 3
-    (Stats.count (Live_store.stats store) "live:store:restore-corrupt")
+    (count store "restore-corrupt")
 
 (* ------------------------------------------------------------------ *)
 (* the loopback impairment shim and the poll-loop timeout clamp *)
@@ -1196,21 +1224,18 @@ let () =
       ( "live store",
         [
           Alcotest.test_case "record codec round trip" `Quick store_round_trip;
-          Alcotest.test_case "in-memory backend" `Quick store_memory;
           Alcotest.test_case "on-disk backend" `Quick store_disk;
           Alcotest.test_case "CRC-32 check vector, incremental digest" `Quick
             crc32_vector;
           Alcotest.test_case "rejects every corruption" `Quick
             store_rejects_corruption;
           qcheck store_codec_round_trip;
-          Alcotest.test_case "io-error: bounded retry then degrade" `Quick
-            store_io_error_degrades;
           Alcotest.test_case "torn write: tmp debris tolerated" `Quick
             store_torn_write_tolerated;
-          Alcotest.test_case "lost flush: note_crash reverts" `Quick
-            store_lost_flush_revert;
           Alcotest.test_case "restore is total" `Quick store_restore_total;
-        ] );
+        ]
+        @ conformance with_disk_store );
+      ("mem store", conformance with_memory_store);
       ( "impairment",
         [
           Alcotest.test_case "loopback shim delays, drops, releases" `Quick
