@@ -58,17 +58,9 @@ let () =
   (* kill whoever holds the decider role at t0+500ms *)
   let engine = Service.engine svc in
   Engine.at engine (Time.add t0 (Time.of_ms 500)) (fun () ->
-      let decider =
-        List.find_opt
-          (fun p ->
-            match Engine.state_of engine p with
-            | Some s -> Member.is_decider s
-            | None -> false)
-          (Proc_id.all ~n)
-      in
       (* between a decision send and its receipt nobody holds the role:
          fall back to a fixed member in that window *)
-      let d = Option.value decider ~default:(Proc_id.of_int 1) in
+      let d = Option.value (Service.decider svc) ~default:(Proc_id.of_int 1) in
       Fmt.pr "[%a] crashing %a mid-workload@." Time.pp (Engine.now engine)
         Proc_id.pp d;
       Engine.crash_at engine (Engine.now engine) d);

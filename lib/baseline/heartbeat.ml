@@ -21,11 +21,7 @@ type obs =
   | View_installed of { view_id : int; group : Proc_set.t }
   | Suspected of { suspect : Proc_id.t }
 
-module Pmap = Map.Make (struct
-  type t = Proc_id.t
-
-  let compare = Proc_id.compare
-end)
+module Pmap = Proc_id.Map
 
 type state = {
   cfg : config;

@@ -27,11 +27,7 @@ type obs =
   | Ring_installed of { ring_id : int; members : Proc_set.t }
   | Token_lost
 
-module Pmap = Map.Make (struct
-  type t = Proc_id.t
-
-  let compare = Proc_id.compare
-end)
+module Pmap = Proc_id.Map
 
 type mode =
   | Operational

@@ -7,11 +7,7 @@ type params = {
   n : int;
 }
 
-module Pmap = Map.Make (struct
-  type t = Proc_id.t
-
-  let compare = Proc_id.compare
-end)
+module Pmap = Proc_id.Map
 
 type t = { params : params; self : Proc_id.t; readings : Reading.t Pmap.t }
 

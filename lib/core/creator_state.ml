@@ -33,6 +33,12 @@ let kind_to_string = function
   | KOne_failure_send -> "1-failure-send"
   | KN_failure -> "n-failure"
 
+let up_to_date = function
+  | Join | N_failure _ -> false
+  | Failure_free | Wrong_suspicion _ | One_failure_receive _
+  | One_failure_send _ ->
+    true
+
 let equal_kind (a : kind) (b : kind) = a = b
 let pp_kind ppf k = Fmt.string ppf (kind_to_string k)
 

@@ -28,6 +28,12 @@ type kind = KJoin | KFailure_free | KWrong_suspicion | KOne_failure_receive
           | KOne_failure_send | KN_failure
 
 val kind_of : t -> kind
+
+val up_to_date : t -> bool
+(** Fail-awareness: false exactly in the join and n-failure states,
+    where a process knows its view is out of date (it has no live ring
+    to keep the view current). *)
+
 val all_kinds : kind list
 val kind_to_string : kind -> string
 val equal_kind : kind -> kind -> bool

@@ -1,10 +1,6 @@
 open Tasim
 
-module Pmap = Map.Make (struct
-  type t = Proc_id.t
-
-  let compare = Proc_id.compare
-end)
+module Pmap = Proc_id.Map
 
 type t = {
   params : Params.t;
@@ -54,18 +50,23 @@ let decay_health t ~now =
 
 type verdict = Fresh | Stale | Late
 
-let admit t ~from ~ts ~now =
-  let late_bound = Params.late_bound t.params in
-  if Time.compare (Time.sub now ts) late_bound > 0 then
+(* Admission against one freshness channel: [floor] is the channel's
+   per-sender newest timestamp, [set] stores an updated floor. *)
+let admit_to ~floor ~set t ~from ~ts ~now =
+  if Time.compare (Time.sub now ts) (Params.late_bound t.params) > 0 then
     (* a late inbound message is evidence that we (the receiver) are
        processing slowly — or the sender is; either way, doubt our own
        timeliness before doubting the peers we watch *)
     (note_late_evidence t ~now, Late)
   else
-    match Pmap.find_opt from t.heard with
+    match Pmap.find_opt from floor with
     | Some prev when Time.compare ts prev <= 0 -> (t, Stale)
     | Some _ | None ->
-      (decay_health { t with heard = Pmap.add from ts t.heard } ~now, Fresh)
+      (decay_health (set t (Pmap.add from ts floor)) ~now, Fresh)
+
+let admit t ~from ~ts ~now =
+  admit_to ~floor:t.heard ~set:(fun t heard -> { t with heard }) t ~from ~ts
+    ~now
 
 (* Gossip probes are a freshness channel of their own: a probe is
    stamped when the sender's probe timer fires, so it routinely carries
@@ -76,14 +77,8 @@ let admit t ~from ~ts ~now =
    order only against other probes; [heard] (and with it the staleness
    floor of ring control messages) is untouched. *)
 let admit_probe t ~from ~ts ~now =
-  let late_bound = Params.late_bound t.params in
-  if Time.compare (Time.sub now ts) late_bound > 0 then
-    (note_late_evidence t ~now, Late)
-  else
-    match Pmap.find_opt from t.probed with
-    | Some prev when Time.compare ts prev <= 0 -> (t, Stale)
-    | Some _ | None ->
-      (decay_health { t with probed = Pmap.add from ts t.probed } ~now, Fresh)
+  admit_to ~floor:t.probed ~set:(fun t probed -> { t with probed }) t ~from
+    ~ts ~now
 
 let note_sent t ~ts = { t with heard = Pmap.add t.self ts t.heard }
 let last_heard t p = Pmap.find_opt p t.heard

@@ -27,11 +27,7 @@ let bodies_equal a b =
   | Oal.Update _, Oal.Membership _ | Oal.Membership _, Oal.Update _ -> false
 
 let is_up_to_date p s =
-  (match CS.kind_of (Member.creator_state s) with
-  | CS.KFailure_free | CS.KWrong_suspicion | CS.KOne_failure_receive
-  | CS.KOne_failure_send ->
-    true
-  | CS.KJoin | CS.KN_failure -> false)
+  CS.up_to_date (Member.creator_state s)
   && Member.has_group s
   && Proc_set.mem p (Member.group s)
 

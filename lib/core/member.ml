@@ -5,11 +5,7 @@ module CS = Creator_state
 module FD = Failure_detector
 module GC = Group_creator
 
-module Pmap = Map.Make (struct
-  type t = Proc_id.t
-
-  let compare = Proc_id.compare
-end)
+module Pmap = Proc_id.Map
 
 (* timer keys *)
 let timer_expect = 1
@@ -60,11 +56,7 @@ let pp_obs ppf = function
   | Became_decider -> Fmt.string ppf "became-decider"
   | Excluded -> Fmt.string ppf "excluded"
 
-type peer_view = {
-  pv_ts : Time.t;
-  pv_view : Oal.t;
-  pv_dpd : Oal.update_info list;
-}
+type peer_view = { pv_view : Oal.t; pv_dpd : Oal.update_info list }
 
 type join_info = { ji_ts : Time.t; ji_list : Proc_set.t; ji_epoch : int }
 
@@ -118,7 +110,6 @@ let app s = s.app
 let oal_of s = s.core.Core.oal
 let buffers_of s = s.core.Core.buffers
 let alive_list s ~now = FD.alive_list s.fd ~now
-let failure_detector s = s.fd
 
 let submit ~semantics payload = C.Submit { semantics; payload }
 
@@ -175,21 +166,26 @@ let gossip_enqueue s (d : C.decision) =
     in
     ({ s with gossip_q }, fresh)
 
-(* Stable storage: record the installed view. Called at every view
-   install so a recovered incarnation knows the epoch it must form
-   above (chaos-11: an amnesiac majority re-forming a colliding
-   epoch). *)
-let persist_view s ~clock =
+(* Every view install goes through here. Stable storage records the
+   view before the observation reports it, so a recovered incarnation
+   knows the epoch it must form above (chaos-11: an amnesiac majority
+   re-forming a colliding epoch). *)
+let install_view s ~clock ~group ~group_id :
+    ('u, 'app) state * ('u, 'app) eff =
+  let s = { s with group; group_id } in
   s.cfg.persist ~self:s.self ~now:clock
-    { last_group_id = s.group_id; last_group = s.group }
+    { last_group_id = group_id; last_group = group };
+  (s, Engine.Observe (View_installed { group; group_id }))
 
 let can_deliver s =
   member_of_current_group s && CS.kind_of s.creator <> CS.KJoin
 
-let fsm_transition s creator' : ('u, 'app) eff list =
-  let from_ = CS.kind_of s.creator and to_ = CS.kind_of creator' in
-  if CS.equal_kind from_ to_ then []
-  else [ Engine.Observe (Transition { from_; to_ }) ]
+(* Move the group creator; a change of state kind is observed. *)
+let set_creator s creator : ('u, 'app) state * ('u, 'app) eff list =
+  let from_ = CS.kind_of s.creator and to_ = CS.kind_of creator in
+  ( { s with creator },
+    if CS.equal_kind from_ to_ then []
+    else [ Engine.Observe (Transition { from_; to_ }) ] )
 
 (* Keep the engine timer for the FD surveillance deadline in sync. *)
 let sync_expect_timer s : ('u, 'app) eff list =
@@ -259,6 +255,17 @@ let send_control s ~ring ~ts msg : ('u, 'app) state * ('u, 'app) eff list =
       (s, (Engine.Broadcast msg :: sync_expect_timer s))
     | None -> (s, [ Engine.Broadcast msg ])
   end
+
+let decision s ~clock =
+  { C.d_ts = clock; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
+
+(* Send a decision as the decider: give up the role, queue the copy for
+   gossip (a no-op under all-to-all) and broadcast it on the ring. *)
+let broadcast_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
+  let d = decision s ~clock in
+  let s = { s with decider = false; last_decision_ts = clock } in
+  let s, _ = gossip_enqueue s d in
+  send_control s ~ring:true ~ts:clock (C.Decision d)
 
 (* ------------------------------------------------------------------ *)
 (* decision construction                                               *)
@@ -333,28 +340,29 @@ let send_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
       let group = Proc_set.union s.group joiners in
       let group_id = Group_id.succ s.group_id in
       let oal, _ = Oal.append_membership (oal_of s) ~group ~group_id in
-      let s = { (set_oal s oal) with group; group_id } in
-      persist_view s ~clock;
-      (s, [ Engine.Observe (View_installed { group; group_id }) ])
+      let s, view = install_view (set_oal s oal) ~clock ~group ~group_id in
+      (s, [ view ])
     end
   in
   let s = { s with core = Core.order_pending s.core ~now:clock } in
   let s = housekeeping_oal s in
-  let ts = clock in
-  let d =
-    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
-  in
-  let msg = C.Decision d in
-  let s = { s with decider = false; last_decision_ts = ts } in
   let s, send_effects =
-    if not (gossip_mode s) then send_control s ~ring:true ~ts msg
+    if not (gossip_mode s) then broadcast_decision s ~clock
     else begin
       (* gossip: the decision travels point-to-point to the ring
          successor — it hands over the decider role and satisfies the
          successor's surveillance of us — and reaches everyone else by
          riding our (and then their) probes *)
+      let d = decision s ~clock in
+      let msg = C.Decision d in
       let s =
-        { s with last_control_sent = Some msg; fd = FD.note_sent s.fd ~ts }
+        {
+          s with
+          decider = false;
+          last_decision_ts = clock;
+          last_control_sent = Some msg;
+          fd = FD.note_sent s.fd ~ts:clock;
+        }
       in
       let s, _ = gossip_enqueue s d in
       match Proc_set.successor_in s.group s.self ~n:s.n with
@@ -368,7 +376,7 @@ let send_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   in
   let transfer_effects =
     Proc_set.fold
-      (fun p acc -> Engine.Send (p, state_transfer_msg s ~ts) :: acc)
+      (fun p acc -> Engine.Send (p, state_transfer_msg s ~ts:clock) :: acc)
       transfer_targets []
   in
   let s, deliver_effects = deliver s ~clock in
@@ -479,10 +487,8 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
   (* 7. membership descriptor and adoption *)
   let group_id = Group_id.succ s.group_id in
   let oal, _ = Oal.append_membership (oal_of s) ~group:new_group ~group_id in
-  let s = { (set_oal s oal) with group = new_group; group_id } in
-  persist_view s ~clock;
-  let view_effect =
-    Engine.Observe (View_installed { group = new_group; group_id })
+  let s, view_effect =
+    install_view (set_oal s oal) ~clock ~group:new_group ~group_id
   in
   (* 8. housekeeping and broadcast as the new decider. Election
      outcomes are always broadcast, even under gossip dissemination:
@@ -491,14 +497,7 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
      for gossip so probes keep re-carrying it to anyone who missed the
      broadcast. *)
   let s = housekeeping_oal s in
-  let ts = clock in
-  let d =
-    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
-  in
-  let msg = C.Decision d in
-  let s = { s with decider = false; last_decision_ts = ts } in
-  let s, _ = gossip_enqueue s d in
-  let s, send_effects = send_control s ~ring:true ~ts msg in
+  let s, send_effects = broadcast_decision s ~clock in
   let s, deliver_effects = deliver s ~clock in
   (s, (view_effect :: send_effects) @ deliver_effects)
 
@@ -527,7 +526,11 @@ let make_reconfig s ~clock ~list =
       r_alive = FD.alive_list s.fd ~now:clock;
     }
 
+(* Leave the group and the ring: the creator moves to join (a no-op
+   when the FSM already put it there), surveillance and the decider
+   role stop. *)
 let enter_join s : ('u, 'app) state * ('u, 'app) eff list =
+  let s, transition_effects = set_creator s CS.Join in
   let s =
     {
       s with
@@ -538,52 +541,53 @@ let enter_join s : ('u, 'app) state * ('u, 'app) eff list =
     }
   in
   ( s,
-    [
-      Engine.Cancel_timer timer_expect;
-      Engine.Cancel_timer timer_decide;
-      Engine.Observe Excluded;
-    ] )
+    transition_effects
+    @ [
+        Engine.Cancel_timer timer_expect;
+        Engine.Cancel_timer timer_decide;
+        Engine.Observe Excluded;
+      ] )
 
-let exec_directive (s, effects) ~clock directive =
+let exec_directive s ~clock directive =
   match directive with
   | GC.Send_no_decision { suspect; since } ->
     let expires = Time.add clock (Params.cycle (params s)) in
     let s =
       set_buffers s (Buffers.block_origin (buffers_of s) suspect ~expires)
     in
-    let msg = make_no_decision s ~clock ~suspect ~since in
-    let s, send_effects = send_control s ~ring:true ~ts:clock msg in
-    (s, effects @ send_effects)
+    send_control s ~ring:true ~ts:clock
+      (make_no_decision s ~clock ~suspect ~since)
   | GC.Exclude_and_decide { suspect } ->
-    let new_group = Proc_set.remove suspect s.group in
-    let s, create_effects = create_group s ~clock ~new_group in
-    (s, effects @ create_effects)
-  | GC.Take_over_decider ->
-    let s, decider_effects = become_decider s ~clock in
-    (s, effects @ decider_effects)
+    create_group s ~clock ~new_group:(Proc_set.remove suspect s.group)
+  | GC.Take_over_decider -> become_decider s ~clock
   | GC.Resend_last_control -> (
     match s.last_control_sent with
-    | Some msg -> (s, effects @ [ Engine.Broadcast msg ])
-    | None -> (s, effects))
+    | Some msg -> (s, [ Engine.Broadcast msg ])
+    | None -> (s, []))
   | GC.Start_reconfiguration ->
     let s = { s with decider = false; fd = FD.suspend s.fd } in
     let msg = make_reconfig s ~clock ~list:Proc_set.empty in
     let s, send_effects = send_control s ~ring:false ~ts:clock msg in
     ( s,
-      effects
-      @ [ Engine.Cancel_timer timer_expect; Engine.Cancel_timer timer_decide ]
-      @ send_effects )
+      Engine.Cancel_timer timer_expect
+      :: Engine.Cancel_timer timer_decide
+      :: send_effects )
   | GC.Adopt_decision ->
     (* performed inline by the decision handler, which has the payload *)
-    (s, effects)
-  | GC.Enter_join ->
-    let s, join_effects = enter_join s in
-    (s, effects @ join_effects)
+    (s, [])
+  | GC.Enter_join -> enter_join s
+
+let run_directives s ~clock directives =
+  List.fold_left
+    (fun (s, effects) directive ->
+      let s, more = exec_directive s ~clock directive in
+      (s, effects @ more))
+    (s, []) directives
 
 let run_fsm s ~clock event : ('u, 'app) state * GC.directive list * ('u, 'app) eff list =
-  let creator', directives = GC.step (env_of s ~clock) s.creator event in
-  let transition_effects = fsm_transition s creator' in
-  ({ s with creator = creator' }, directives, transition_effects)
+  let creator, directives = GC.step (env_of s ~clock) s.creator event in
+  let s, transition_effects = set_creator s creator in
+  (s, directives, transition_effects)
 
 (* ------------------------------------------------------------------ *)
 (* message handlers                                                    *)
@@ -636,11 +640,8 @@ let adopt_decision s ~clock ~(d : C.decision) =
              transfer, which carries the replica state *)
           (s, [], false)
         else begin
-          let s = { s with group = grp; group_id = gid } in
-          persist_view s ~clock;
-          ( s,
-            [ Engine.Observe (View_installed { group = grp; group_id = gid }) ],
-            false )
+          let s, view = install_view s ~clock ~group:grp ~group_id:gid in
+          (s, [ view ], false)
         end
       else (s, [], true)
     | Some _ | None -> (s, [], false)
@@ -697,26 +698,22 @@ let realign_surveillance s ~from ~ts =
      control message from the predecessor re-arms the watch; messages
      from anyone else arm it only when it is idle (e.g. right after a
      view change). *)
-  match CS.kind_of s.creator with
-  | CS.KJoin | CS.KN_failure -> s
-  | CS.KFailure_free | CS.KWrong_suspicion | CS.KOne_failure_receive
-  | CS.KOne_failure_send ->
-    if gossip_mode s then begin
-      match Proc_set.predecessor_in s.group s.self ~n:s.n with
-      | Some pred when Proc_id.equal pred s.self ->
-        { s with fd = FD.suspend s.fd }
-      | Some pred
-        when Proc_id.equal pred from || FD.expected s.fd = None ->
-        { s with fd = FD.expect s.fd ~sender:pred ~base:ts }
-      | Some _ | None -> s
-    end
-    else begin
-      match Proc_set.successor_in s.group from ~n:s.n with
-      | Some next when Proc_id.equal next s.self ->
-        { s with fd = FD.suspend s.fd }
-      | Some next -> { s with fd = FD.expect s.fd ~sender:next ~base:ts }
-      | None -> s
-    end
+  if not (CS.up_to_date s.creator) then s
+  else if gossip_mode s then begin
+    match Proc_set.predecessor_in s.group s.self ~n:s.n with
+    | Some pred when Proc_id.equal pred s.self ->
+      { s with fd = FD.suspend s.fd }
+    | Some pred when Proc_id.equal pred from || FD.expected s.fd = None ->
+      { s with fd = FD.expect s.fd ~sender:pred ~base:ts }
+    | Some _ | None -> s
+  end
+  else begin
+    match Proc_set.successor_in s.group from ~n:s.n with
+    | Some next when Proc_id.equal next s.self ->
+      { s with fd = FD.suspend s.fd }
+    | Some next -> { s with fd = FD.expect s.fd ~sender:next ~base:ts }
+    | None -> s
+  end
 
 let current_suspect s =
   match s.creator with
@@ -766,13 +763,8 @@ let on_decision s ~clock ~src (d : C.decision) =
     if all_heard then run_fsm s ~clock GC.All_new_members_heard
     else (s, [], [])
   in
-  (* execute the remaining directives *)
   let s, directive_effects =
-    List.fold_left
-      (fun acc dir ->
-        match dir with GC.Adopt_decision -> acc | _ -> exec_directive acc ~clock dir)
-      (s, [])
-      (directives @ directives2)
+    run_directives s ~clock (directives @ directives2)
   in
   (* surveillance and decider handover *)
   let s = realign_surveillance s ~from:src ~ts:d.C.d_ts in
@@ -790,16 +782,16 @@ let on_decision s ~clock ~src (d : C.decision) =
     transition_effects @ adopt_effects @ transition_effects2
     @ directive_effects @ decider_effects @ sync_expect_timer s )
 
+(* Record the view and dpd descriptors a no-decision or reconfiguration
+   message carries, for [create_group] to merge. *)
+let note_peer_view s ~src ~view ~dpd =
+  {
+    s with
+    peer_views = Pmap.add src { pv_view = view; pv_dpd = dpd } s.peer_views;
+  }
+
 let on_no_decision s ~clock ~src (nd : 'u C.no_decision) =
-  let s =
-    {
-      s with
-      peer_views =
-        Pmap.add src
-          { pv_ts = nd.C.nd_ts; pv_view = nd.C.nd_view; pv_dpd = nd.C.nd_dpd }
-          s.peer_views;
-    }
-  in
+  let s = note_peer_view s ~src ~view:nd.C.nd_view ~dpd:nd.C.nd_dpd in
   (* a no-decision about a process that is no longer (or not yet) in our
      group is from an already-settled election: record the view above,
      but do not re-open the suspicion *)
@@ -828,10 +820,7 @@ let on_no_decision s ~clock ~src (nd : 'u C.no_decision) =
            from_ring_predecessor;
          })
   in
-  let s, directive_effects =
-    List.fold_left (fun acc dir -> exec_directive acc ~clock dir) (s, [])
-      directives
-  in
+  let s, directive_effects = run_directives s ~clock directives in
   (s, transition_effects @ directive_effects @ sync_expect_timer s)
 
 let on_join_msg s ~src (j : C.join) =
@@ -859,22 +848,14 @@ let on_join_msg s ~src (j : C.join) =
      functioning group through state transfer, not by tearing it
      down. *)
   match CS.kind_of s.creator with
-  | CS.KN_failure when j.C.j_epoch > Group_id.epoch s.group_id ->
-    let creator' = CS.Join in
-    let transition_effects = fsm_transition s creator' in
-    let s = { s with creator = creator' } in
-    let s, join_effects = enter_join s in
-    (s, transition_effects @ join_effects)
+  | CS.KN_failure when j.C.j_epoch > Group_id.epoch s.group_id -> enter_join s
   | _ -> (s, [])
 
 let on_reconfig s ~clock ~src (r : 'u C.reconfig) =
+  let s = note_peer_view s ~src ~view:r.C.r_view ~dpd:r.C.r_dpd in
   let s =
     {
       s with
-      peer_views =
-        Pmap.add src
-          { pv_ts = r.C.r_ts; pv_view = r.C.r_view; pv_dpd = r.C.r_dpd }
-          s.peer_views;
       reconfig_msgs =
         Pmap.add src
           {
@@ -892,10 +873,7 @@ let on_reconfig s ~clock ~src (r : 'u C.reconfig) =
   let s, directives, transition_effects =
     run_fsm s ~clock (GC.Reconfig_received { from_expected; from_member })
   in
-  let s, directive_effects =
-    List.fold_left (fun acc dir -> exec_directive acc ~clock dir) (s, [])
-      directives
-  in
+  let s, directive_effects = run_directives s ~clock directives in
   (s, transition_effects @ directive_effects @ sync_expect_timer s)
 
 let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
@@ -924,16 +902,15 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
     let s =
       {
         s with
-        group = st.C.st_group;
-        group_id = st.C.st_group_id;
         core = { s.core with Core.oal; buffers };
         app = st.C.st_app;
         pending_new_group = None;
       }
     in
-    persist_view s ~clock;
-    let transition_effects = fsm_transition s CS.Failure_free in
-    let s = { s with creator = CS.Failure_free } in
+    let s, view_effect =
+      install_view s ~clock ~group:st.C.st_group ~group_id:st.C.st_group_id
+    in
+    let s, transition_effects = set_creator s CS.Failure_free in
     let s = realign_surveillance s ~from:src ~ts:st.C.st_ts in
     (* the decision that integrated us also advanced the decider role:
        when we are the integrator's group successor, the role is ours *)
@@ -944,12 +921,8 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
     in
     let s, deliver_effects = deliver s ~clock in
     ( s,
-      transition_effects
-      @ [
-          Engine.Observe
-            (View_installed { group = s.group; group_id = s.group_id });
-        ]
-      @ decider_effects @ deliver_effects @ sync_expect_timer s )
+      transition_effects @ (view_effect :: decider_effects) @ deliver_effects
+      @ sync_expect_timer s )
   end
 
 (* ------------------------------------------------------------------ *)
@@ -968,14 +941,7 @@ let on_gossip s ~clock ~src (g : C.gossip) =
      alive-list; a probe from the watched predecessor re-arms the
      surveillance *)
   let s = realign_surveillance s ~from:src ~ts:g.C.g_ts in
-  let adoptable s =
-    member_of_current_group s
-    &&
-    match CS.kind_of s.creator with
-    | CS.KJoin | CS.KN_failure -> false
-    | CS.KFailure_free | CS.KWrong_suspicion | CS.KOne_failure_receive
-    | CS.KOne_failure_send -> true
-  in
+  let adoptable s = member_of_current_group s && CS.up_to_date s.creator in
   let s, effects =
     List.fold_left
       (fun (s, effs) (d : C.decision) ->
@@ -987,15 +953,24 @@ let on_gossip s ~clock ~src (g : C.gossip) =
           else begin
             (* a gossiped later view that drops us is as authoritative
                as a direct one: leave the group and rejoin *)
-            let transition_effects = fsm_transition s CS.Join in
-            let s = { s with creator = CS.Join } in
             let s, join_effects = enter_join s in
-            (s, effs @ adopt_effects @ transition_effects @ join_effects)
+            (s, effs @ adopt_effects @ join_effects)
           end
         end)
       (s, []) g.C.g_decisions
   in
   (s, effects @ sync_expect_timer s)
+
+(* Lifeguard local health: a timer that fires well past its due time is
+   evidence that this process itself is running slowly. No-op unless
+   adaptive suspicion is on. *)
+let note_if_late s ~clock ~due =
+  match due with
+  | Some due
+    when Time.compare (Time.sub clock due) (Time.mul (params s).Params.sigma 4)
+         > 0 ->
+    { s with fd = FD.note_late_evidence s.fd ~now:clock }
+  | Some _ | None -> s
 
 (* One probe round: drain the piggyback budget, send to the ring
    successor plus the rotating fanout targets, and keep the timer
@@ -1007,28 +982,13 @@ let on_gossip_timer s ~clock =
   match (params s).Params.dissemination with
   | Dissemination.All_to_all -> (s, [])
   | Dissemination.Gossip { fanout; piggyback_budget; probe_period; _ } ->
-    (* a probe timer firing well past its due time is local-slowness
-       evidence, like a late surveillance timer *)
-    let s =
-      if
-        Time.compare s.gossip_due Time.zero > 0
-        && Time.compare (Time.sub clock s.gossip_due)
-             (Time.mul (params s).Params.sigma 4)
-           > 0
-      then { s with fd = FD.note_late_evidence s.fd ~now:clock }
-      else s
-    in
+    (* init armed the probe timer, so [gossip_due] is set *)
+    let s = note_if_late s ~clock ~due:(Some s.gossip_due) in
     let due = Time.add clock probe_period in
     let s = { s with gossip_due = due } in
     let rearm = Engine.Set_timer { key = timer_gossip; at_clock = due } in
-    let live =
-      member_of_current_group s
-      &&
-      match CS.kind_of s.creator with
-      | CS.KJoin | CS.KN_failure -> false
-      | _ -> true
-    in
-    if not live then (s, [ rearm ])
+    if not (member_of_current_group s && CS.up_to_date s.creator) then
+      (s, [ rearm ])
     else begin
       let targets =
         Dissemination.probe_targets ~group:s.group ~self:s.self ~n:s.n
@@ -1080,31 +1040,44 @@ let on_gossip_timer s ~clock =
 (* ------------------------------------------------------------------ *)
 (* slotted protocols: join and reconfiguration                         *)
 
-let fresh_within s ~clock ~ts ~slots =
-  Slots.in_last_k_slots (params s) ~now:clock ~sent_at:ts ~k:slots
+(* Self plus every sender of a message in [msgs] sent within the last
+   n-1 slots. *)
+let heard_list s ~clock msgs ~sent_at =
+  Pmap.fold
+    (fun p m acc ->
+      if
+        Slots.in_last_k_slots (params s) ~now:clock ~sent_at:(sent_at m)
+          ~k:(s.n - 1)
+      then Proc_set.add p acc
+      else acc)
+    msgs (Proc_set.singleton s.self)
+
+(* The quorum rule of both slotted elections: every member of [set]
+   other than self sent a message in [msgs], in its own latest slot,
+   that [agrees]. *)
+let all_agree s ~clock msgs set ~sent_at ~agrees =
+  Proc_set.for_all
+    (fun p ->
+      Proc_id.equal p s.self
+      ||
+      match Pmap.find_opt p msgs with
+      | Some m ->
+        Slots.was_own_latest_slot (params s) ~sender:p ~sent_at:(sent_at m)
+          ~now:clock
+        && agrees m
+      | None -> false)
+    set
 
 let join_list_of s ~clock =
   (* only join messages of this process's own formation epoch count: a
      sender still at an older epoch (not yet ratcheted) must not land in
      the join-list a formation is based on *)
-  Pmap.fold
-    (fun p { ji_ts; ji_epoch; _ } acc ->
-      if
-        ji_epoch = s.form_epoch
-        && fresh_within s ~clock ~ts:ji_ts ~slots:(s.n - 1)
-      then Proc_set.add p acc
-      else acc)
-    s.join_msgs
-    (Proc_set.singleton s.self)
+  heard_list s ~clock
+    (Pmap.filter (fun _ j -> j.ji_epoch = s.form_epoch) s.join_msgs)
+    ~sent_at:(fun j -> j.ji_ts)
 
 let reconfig_list_of s ~clock =
-  Pmap.fold
-    (fun p { rc_ts; _ } acc ->
-      if fresh_within s ~clock ~ts:rc_ts ~slots:(s.n - 1) then
-        Proc_set.add p acc
-      else acc)
-    s.reconfig_msgs
-    (Proc_set.singleton s.self)
+  heard_list s ~clock s.reconfig_msgs ~sent_at:(fun r -> r.rc_ts)
 
 (* Initial group formation (Section 4.2): at system start, a process
    becomes the first decider when a majority sent join messages, each in
@@ -1129,17 +1102,9 @@ let try_initial_create s ~clock =
     let jl = join_list_of s ~clock in
     let ok =
       Proc_set.is_majority jl ~n:s.n
-      && Proc_set.for_all
-           (fun p ->
-             Proc_id.equal p s.self
-             ||
-             match Pmap.find_opt p s.join_msgs with
-             | Some { ji_ts; ji_list; _ } ->
-               Slots.was_own_latest_slot (params s) ~sender:p ~sent_at:ji_ts
-                 ~now:clock
-               && Proc_set.equal ji_list jl
-             | None -> false)
-           jl
+      && all_agree s ~clock s.join_msgs jl
+           ~sent_at:(fun j -> j.ji_ts)
+           ~agrees:(fun j -> Proc_set.equal j.ji_list jl)
     in
     if ok then Some jl else None
   end
@@ -1147,22 +1112,11 @@ let try_initial_create s ~clock =
 let create_initial_group s ~clock ~group =
   let group_id = Group_id.form ~epoch:s.form_epoch in
   let oal, _ = Oal.append_membership (oal_of s) ~group ~group_id in
-  let s = { (set_oal s oal) with group; group_id } in
-  persist_view s ~clock;
-  let transition_effects = fsm_transition s CS.Failure_free in
-  let s = { s with creator = CS.Failure_free } in
-  let ts = clock in
-  let d =
-    { C.d_ts = ts; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
-  in
-  let msg = C.Decision d in
-  let s = { s with last_decision_ts = ts } in
-  let s, _ = gossip_enqueue s d in
-  let s, send_effects = send_control s ~ring:true ~ts msg in
+  let s, view_effect = install_view (set_oal s oal) ~clock ~group ~group_id in
+  let s, transition_effects = set_creator s CS.Failure_free in
+  let s, send_effects = broadcast_decision s ~clock in
   ( s,
-    transition_effects
-    @ [ Engine.Observe (View_installed { group; group_id }) ]
-    @ send_effects @ sync_expect_timer s )
+    transition_effects @ (view_effect :: send_effects) @ sync_expect_timer s )
 
 (* Reconfiguration election (Section 4.2): during its slot, a process in
    n-failure that proposed the highest decision timestamp creates a new
@@ -1183,18 +1137,11 @@ let try_reconfig_create s ~clock ~wait_until_slot =
     let ok =
       Proc_set.is_majority candidates ~n:s.n
       && Group_id.is_known s.group_id
-      && Proc_set.for_all
-           (fun p ->
-             Proc_id.equal p s.self
-             ||
-             match Pmap.find_opt p s.reconfig_msgs with
-             | Some { rc_ts; rc_list; rc_last_decision_ts } ->
-               Slots.was_own_latest_slot (params s) ~sender:p ~sent_at:rc_ts
-                 ~now:clock
-               && Proc_set.equal rc_list rl
-               && Time.compare rc_last_decision_ts s.last_decision_ts <= 0
-             | None -> false)
-           candidates
+      && all_agree s ~clock s.reconfig_msgs candidates
+           ~sent_at:(fun r -> r.rc_ts)
+           ~agrees:(fun r ->
+             Proc_set.equal r.rc_list rl
+             && Time.compare r.rc_last_decision_ts s.last_decision_ts <= 0)
     in
     if ok then Some candidates else None
   end
@@ -1223,8 +1170,7 @@ let on_slot s ~clock : ('u, 'app) state * ('u, 'app) eff list =
     | CS.N_failure { wait_until_slot } -> (
       match try_reconfig_create s ~clock ~wait_until_slot with
       | Some new_group ->
-        let transition_effects = fsm_transition s CS.Failure_free in
-        let s = { s with creator = CS.Failure_free } in
+        let s, transition_effects = set_creator s CS.Failure_free in
         let s, create_effects = create_group s ~clock ~new_group in
         (s, transition_effects @ create_effects @ sync_expect_timer s)
       | None ->
@@ -1243,22 +1189,12 @@ let on_slot s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   (s, rearm :: effects)
 
 let on_expect_timeout s ~clock =
-  (* Lifeguard local health: a surveillance timer that fires well past
-     its deadline is evidence that this process itself is running
-     slowly. Charging the evidence first stretches the in-force
-     timeout, which can move the deadline back into the future — the
+  (* Charging lateness evidence first stretches the in-force timeout,
+     which can move the deadline back into the future — the
      timeout_suspect check below then comes up empty and the timer is
      simply re-armed, so an overloaded member doubts itself instead of
-     suspecting a timely peer. No-op unless adaptive suspicion is on. *)
-  let s =
-    match FD.deadline s.fd with
-    | Some dl
-      when Time.compare (Time.sub clock dl)
-             (Time.mul (params s).Params.sigma 4)
-           > 0 ->
-      { s with fd = FD.note_late_evidence s.fd ~now:clock }
-    | Some _ | None -> s
-  in
+     suspecting a timely peer. *)
+  let s = note_if_late s ~clock ~due:(FD.deadline s.fd) in
   match FD.timeout_suspect s.fd ~now:clock with
   | None -> (s, sync_expect_timer s)
   | Some suspect when Proc_id.equal suspect s.self ->
@@ -1281,30 +1217,23 @@ let on_expect_timeout s ~clock =
        message; under gossip we fall back to the closest live
        predecessor short of the suspect *)
     let s =
-      match CS.kind_of s.creator with
-      | CS.KN_failure | CS.KJoin -> s
-      | _ ->
-        if gossip_mode s then begin
-          match
-            Proc_set.predecessor_in
-              (Proc_set.remove suspect s.group)
-              s.self ~n:s.n
-          with
-          | Some pred when not (Proc_id.equal pred s.self) ->
-            { s with fd = FD.expect s.fd ~sender:pred ~base:clock }
-          | Some _ | None -> { s with fd = FD.suspend s.fd }
-        end
-        else begin
-          match Proc_set.successor_in s.group suspect ~n:s.n with
-          | Some next ->
-            { s with fd = FD.expect s.fd ~sender:next ~base:clock }
-          | None -> s
-        end
+      if not (CS.up_to_date s.creator) then s
+      else if gossip_mode s then begin
+        match
+          Proc_set.predecessor_in (Proc_set.remove suspect s.group) s.self
+            ~n:s.n
+        with
+        | Some pred when not (Proc_id.equal pred s.self) ->
+          { s with fd = FD.expect s.fd ~sender:pred ~base:clock }
+        | Some _ | None -> { s with fd = FD.suspend s.fd }
+      end
+      else begin
+        match Proc_set.successor_in s.group suspect ~n:s.n with
+        | Some next -> { s with fd = FD.expect s.fd ~sender:next ~base:clock }
+        | None -> s
+      end
     in
-    let s, directive_effects =
-      List.fold_left (fun acc dir -> exec_directive acc ~clock dir) (s, [])
-        directives
-    in
+    let s, directive_effects = run_directives s ~clock directives in
     ( s,
       (suspected_effect :: transition_effects)
       @ directive_effects @ sync_expect_timer s )

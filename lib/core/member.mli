@@ -106,4 +106,3 @@ val app : ('u, 'app) state -> 'app
 val oal_of : ('u, 'app) state -> Oal.t
 val buffers_of : ('u, 'app) state -> 'u Buffers.t
 val alive_list : ('u, 'app) state -> now:Time.t -> Proc_set.t
-val failure_detector : ('u, 'app) state -> Failure_detector.t

@@ -104,16 +104,10 @@ let current_view t proc =
 let agreed_view t =
   let n = t.params.Params.n in
   let up_to_date id =
-    (* fail-awareness: a member in the join or n-failure state knows its
-       view is out of date and is not counted *)
+    (* fail-awareness: a member that knows its view is out of date is
+       not counted *)
     match Engine.state_of t.engine id with
-    | Some s -> (
-      match Creator_state.kind_of (Member.creator_state s) with
-      | Creator_state.KJoin | Creator_state.KN_failure -> false
-      | Creator_state.KFailure_free | Creator_state.KWrong_suspicion
-      | Creator_state.KOne_failure_receive | Creator_state.KOne_failure_send
-        ->
-        true)
+    | Some s -> Creator_state.up_to_date (Member.creator_state s)
     | None -> false
   in
   let members_with_views =
@@ -143,6 +137,14 @@ let agreed_view t =
         members_with_views
     in
     if agree then Some newest else None
+
+let decider t =
+  List.find_opt
+    (fun p ->
+      match Engine.state_of t.engine p with
+      | Some s -> Member.is_decider s
+      | None -> false)
+    (Proc_id.all ~n:t.params.Params.n)
 
 let storage t = t.storage
 

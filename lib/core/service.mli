@@ -81,6 +81,10 @@ val agreed_view : ('u, 'app) t -> view option
 (** When every currently-up member that has a view agrees on the same
     newest group, that view; [None] while they diverge. *)
 
+val decider : ('u, 'app) t -> Proc_id.t option
+(** The lowest-numbered up member that holds the decider role, if
+    any. *)
+
 (** {1 Fault injection} *)
 
 val storage : ('u, 'app) t -> Member.persistent Storage.Store.t

@@ -19,16 +19,8 @@ let one_run ~n ~seed ~crash_decider =
   let fault_at = Time.add (Service.now svc) (Time.of_sec 1) in
   let victim = ref None in
   Engine.at engine fault_at (fun () ->
-      let decider =
-        List.find_opt
-          (fun id ->
-            match Engine.state_of engine id with
-            | Some s -> Member.is_decider s
-            | None -> false)
-          (Proc_id.all ~n)
-      in
       let target =
-        match (crash_decider, decider) with
+        match (crash_decider, Service.decider svc) with
         | true, Some d -> d
         | true, None -> Proc_id.of_int 0
         | false, Some d ->
@@ -185,16 +177,7 @@ let distance_run ~n ~seed ~distance =
   let victim = ref None in
   Engine.at engine fault_at (fun () ->
       let decider =
-        match
-          List.find_opt
-            (fun id ->
-              match Engine.state_of engine id with
-              | Some s -> Member.is_decider s
-              | None -> false)
-            (Proc_id.all ~n)
-        with
-        | Some d -> Proc_id.to_int d
-        | None -> 0
+        match Service.decider svc with Some d -> Proc_id.to_int d | None -> 0
       in
       let target = Proc_id.of_int ((decider + distance) mod n) in
       victim := Some target;

@@ -19,16 +19,7 @@ let one_run ~n ~f ~seed ~pick =
   let victims = ref Proc_set.empty in
   Engine.at engine fault_at (fun () ->
       let decider =
-        match
-          List.find_opt
-            (fun id ->
-              match Engine.state_of engine id with
-              | Some s -> Member.is_decider s
-              | None -> false)
-            (Proc_id.all ~n)
-        with
-        | Some d -> Proc_id.to_int d
-        | None -> 0
+        match Service.decider svc with Some d -> Proc_id.to_int d | None -> 0
       in
       let targets =
         match pick with

@@ -188,11 +188,7 @@ let one_spec_run ~n ~seed =
               (fun id ->
                 match Engine.state_of engine id with
                 | Some s
-                  when (match CS.kind_of (Member.creator_state s) with
-                       | CS.KFailure_free | CS.KWrong_suspicion
-                       | CS.KOne_failure_receive | CS.KOne_failure_send ->
-                         true
-                       | CS.KJoin | CS.KN_failure -> false)
+                  when CS.up_to_date (Member.creator_state s)
                        && Member.has_group s ->
                   Some (Member.group_id s, Member.group s)
                 | Some _ | None -> None)

@@ -12,17 +12,8 @@ let pid = Proc_id.of_int
 
 let crash_current_decider svc at =
   let engine = Service.engine svc in
-  let n = (Service.params svc).Params.n in
   Engine.at engine at (fun () ->
-      let decider =
-        List.find_opt
-          (fun p ->
-            match Engine.state_of engine p with
-            | Some s -> Member.is_decider s
-            | None -> false)
-          (Proc_id.all ~n)
-      in
-      let d = Option.value decider ~default:(pid 1) in
+      let d = Option.value (Service.decider svc) ~default:(pid 1) in
       Engine.crash_at engine (Engine.now engine) d)
 
 let all =

@@ -44,11 +44,10 @@ type view = {
 
 type recorder = {
   mutable views : view list;
-  mutable started : Proc_id.t list;
   mutable delivered : (Proc_id.t * string) list;
 }
 
-let recorder () = { views = []; started = []; delivered = [] }
+let recorder () = { views = []; delivered = [] }
 
 let record recorder ~proc at (o : obs) =
   match o with
@@ -57,8 +56,9 @@ let record recorder ~proc at (o : obs) =
   | Full_stack.Member_obs (Member.Delivered { proposal; _ }) ->
     recorder.delivered <-
       (proc, proposal.Proposal.payload) :: recorder.delivered
-  | Full_stack.Member_started -> recorder.started <- proc :: recorder.started
-  | Full_stack.Member_obs _ | Full_stack.Sync_obs _ -> ()
+  | Full_stack.Member_started | Full_stack.Member_obs _ | Full_stack.Sync_obs _
+    ->
+    ()
 
 let automaton_of cfg =
   let member_cfg =

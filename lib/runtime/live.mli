@@ -50,7 +50,6 @@ type view = { at : Time.t; proc : Proc_id.t; group : Proc_set.t; group_id : Grou
 
 type recorder = {
   mutable views : view list;  (** newest first *)
-  mutable started : Proc_id.t list;  (** members whose clock synced *)
   mutable delivered : (Proc_id.t * string) list;  (** newest first *)
 }
 

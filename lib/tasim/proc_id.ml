@@ -13,3 +13,9 @@ let predecessor t ~n = (t + n - 1) mod n
 let ring_distance ~from ~to_ ~n = ((to_ - from) mod n + n) mod n
 let all ~n = List.init n (fun i -> i)
 let pp ppf t = Fmt.pf ppf "p%d" t
+
+module Map = Map.Make (struct
+  type nonrec t = t
+
+  let compare = compare
+end)

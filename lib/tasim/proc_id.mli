@@ -27,3 +27,6 @@ val all : n:int -> t list
 
 val pp : t Fmt.t
 (** Prints as ["p3"]. *)
+
+module Map : Map.S with type key = t
+(** Maps keyed by process id, in id order. *)

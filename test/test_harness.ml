@@ -264,6 +264,53 @@ let test_scenarios_all_run () =
         Alcotest.failf "scenario %s: no agreed view" s.Harness.Scenario.name)
     Harness.Scenario.all
 
+(* A member persists every view before it reports it: at each
+   View_installed the stable store already restores that view, and at
+   the end of the run each member's record is the last view it
+   reported. Every scenario, seeds 1-5. *)
+let test_persist_before_report () =
+  let open Tasim in
+  let open Timewheel in
+  let observed = ref 0 and early = ref [] and at_end = ref [] in
+  let holds store p (v : Service.view) =
+    match Storage.Store.restore store ~self:p with
+    | Some { Member.last_group_id; last_group } ->
+      Broadcast.Group_id.equal last_group_id v.Service.group_id
+      && Proc_set.equal last_group v.Service.group
+    | None -> false
+  in
+  let describe (sc : Harness.Scenario.t) seed p (v : Service.view) =
+    Fmt.str "%s seed %d %a view#%a" sc.Harness.Scenario.name seed Proc_id.pp
+      p Broadcast.Group_id.pp v.Service.group_id
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (sc : Harness.Scenario.t) ->
+          let svc = Harness.Run.service ~seed ~n:5 () in
+          let store = Service.storage svc in
+          let last = Hashtbl.create 5 in
+          Service.on_view svc (fun p v ->
+              incr observed;
+              Hashtbl.replace last p v;
+              if not (holds store p v) then
+                early := describe sc seed p v :: !early);
+          let svc = Harness.Run.settle svc in
+          let t = Service.now svc in
+          sc.Harness.Scenario.inject svc t;
+          Service.run svc ~until:(Time.add t (Time.of_sec 10));
+          Hashtbl.iter
+            (fun p v ->
+              if not (holds store p v) then
+                at_end := describe sc seed p v :: !at_end)
+            last)
+        Harness.Scenario.all)
+    [ 1; 2; 3; 4; 5 ];
+  check Alcotest.bool "every formation observed" true
+    (!observed >= 5 * 5 * List.length Harness.Scenario.all);
+  check Alcotest.(list string) "reported before persisted" [] !early;
+  check Alcotest.(list string) "record differs from last report" [] !at_end
+
 let test_scenario_lookup () =
   check Alcotest.int "nine scenarios" 9 (List.length Harness.Scenario.all);
   check Alcotest.bool "find works" true
@@ -353,6 +400,8 @@ let () =
         [
           Alcotest.test_case "lookup" `Quick test_scenario_lookup;
           Alcotest.test_case "all run" `Slow test_scenarios_all_run;
+          Alcotest.test_case "persist before report" `Slow
+            test_persist_before_report;
         ] );
       ( "experiments",
         [

@@ -263,14 +263,7 @@ let test_state_machine_total_order_across_decider_crash () =
   (* crash whoever holds the decider role mid-stream *)
   let engine = Service.engine svc in
   Engine.at engine (Time.add t (Time.of_ms 300)) (fun () ->
-      match
-        List.find_opt
-          (fun p ->
-            match Engine.state_of engine p with
-            | Some s -> Member.is_decider s
-            | None -> false)
-          (Proc_id.all ~n:5)
-      with
+      match Service.decider svc with
       | Some d -> Engine.crash_at engine (Engine.now engine) d
       | None -> ());
   Service.run svc ~until:(Time.add t (Time.of_sec 5));

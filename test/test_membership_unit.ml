@@ -200,6 +200,63 @@ let test_fd_forget () =
   check Alcotest.bool "forgotten" false
     (Proc_set.mem (pid 1) (FD.alive_list fd ~now:(Time.of_ms 110)))
 
+(* Ring control messages and gossip probes keep separate freshness
+   floors: neither channel's newest timestamp makes the other's older
+   message stale, yet both feed the alive-list and both reject late
+   messages. *)
+let test_fd_freshness_floors () =
+  let ms = Time.of_ms in
+  let verdict =
+    Alcotest.testable
+      (fun ppf v ->
+        Fmt.string ppf
+          (match v with
+          | FD.Fresh -> "fresh"
+          | FD.Stale -> "stale"
+          | FD.Late -> "late"))
+      ( = )
+  in
+  let fd = fd5 () in
+  (* a newer probe, then an older-stamped ring message *)
+  let fd, v = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 112) in
+  check verdict "probe fresh" FD.Fresh v;
+  let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 105) ~now:(ms 112) in
+  check verdict "older ring message still fresh" FD.Fresh v;
+  (* the reverse: a newer ring message, then an older-stamped probe *)
+  let fd, v = FD.admit fd ~from:(pid 2) ~ts:(ms 110) ~now:(ms 112) in
+  check verdict "ring message fresh" FD.Fresh v;
+  let fd, v = FD.admit_probe fd ~from:(pid 2) ~ts:(ms 105) ~now:(ms 112) in
+  check verdict "older probe still fresh" FD.Fresh v;
+  (* a duplicate is stale on either channel *)
+  let fd, v = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 113) in
+  check verdict "duplicate probe" FD.Stale v;
+  let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 105) ~now:(ms 113) in
+  check verdict "duplicate ring message" FD.Stale v;
+  let fd, v = FD.admit fd ~from:(pid 2) ~ts:(ms 110) ~now:(ms 113) in
+  check verdict "duplicate ring message (2)" FD.Stale v;
+  let fd, v = FD.admit_probe fd ~from:(pid 2) ~ts:(ms 105) ~now:(ms 113) in
+  check verdict "duplicate probe (2)" FD.Stale v;
+  (* senders heard on one channel only are alive too *)
+  let fd, _ = FD.admit_probe fd ~from:(pid 3) ~ts:(ms 110) ~now:(ms 112) in
+  let fd, _ = FD.admit fd ~from:(pid 4) ~ts:(ms 110) ~now:(ms 112) in
+  check Alcotest.(list int) "alive from both channels" [ 0; 1; 2; 3; 4 ]
+    (List.map Proc_id.to_int
+       (Proc_set.to_list (FD.alive_list fd ~now:(ms 150))));
+  (* past late_bound (13 ms) both channels say late; only adaptive
+     suspicion turns that into local-health evidence *)
+  let late fd =
+    let fd, v1 = FD.admit fd ~from:(pid 1) ~ts:(ms 200) ~now:(ms 250) in
+    let fd, v2 = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 200) ~now:(ms 250) in
+    check verdict "late ring message" FD.Late v1;
+    check verdict "late probe" FD.Late v2;
+    FD.health fd
+  in
+  check Alcotest.int "no health change by default" 0 (late fd);
+  let adaptive =
+    FD.create (Params.make ~n:5 ~adaptive_suspicion:true ()) ~self:(pid 0)
+  in
+  check Alcotest.int "adaptive: one step per late message" 2 (late adaptive)
+
 (* ------------------------------------------------------------------ *)
 (* Group creator: every edge of Fig. 2.
 
@@ -490,6 +547,29 @@ let test_join_ignores_the_rest () =
       check Alcotest.bool "silent" true (dirs = []))
     [ timeout; nd ~from:3 ~concur:true ~pred:true (); reconfig () ]
 
+(* --- fail-awareness --- *)
+
+let test_up_to_date () =
+  let q = pid 2 in
+  let cases =
+    [
+      (CS.Join, false);
+      (CS.Failure_free, true);
+      (CS.Wrong_suspicion { suspect = q }, true);
+      (CS.One_failure_receive { suspect = q; since = Time.zero }, true);
+      (CS.One_failure_send { suspect = q; since = Time.zero }, true);
+      (CS.N_failure { wait_until_slot = 3 }, false);
+    ]
+  in
+  check
+    Alcotest.(list string)
+    "one case per state" (List.map CS.kind_to_string CS.all_kinds)
+    (List.map (fun (st, _) -> CS.kind_to_string (CS.kind_of st)) cases);
+  List.iter
+    (fun (st, expected) ->
+      check Alcotest.bool (Fmt.str "%a" CS.pp st) expected (CS.up_to_date st))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Undeliverable classification (Section 4.3) *)
 
@@ -637,6 +717,7 @@ let () =
           Alcotest.test_case "surveillance" `Quick test_fd_surveillance;
           Alcotest.test_case "note_sent" `Quick test_fd_note_sent_blocks_self_concurrence;
           Alcotest.test_case "forget" `Quick test_fd_forget;
+          Alcotest.test_case "freshness floors" `Quick test_fd_freshness_floors;
         ] );
       ( "fig2: failure-free",
         [
@@ -699,6 +780,8 @@ let () =
           Alcotest.test_case "decision member" `Quick test_join_decision_member_to_ff;
           Alcotest.test_case "inert" `Quick test_join_ignores_the_rest;
         ] );
+      ( "fail-awareness",
+        [ Alcotest.test_case "up to date" `Quick test_up_to_date ] );
       ( "undeliverable",
         [
           Alcotest.test_case "lost" `Quick test_undeliverable_lost;

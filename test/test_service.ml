@@ -135,6 +135,45 @@ let test_agreed_view_none_during_election () =
   check Alcotest.bool "total partition: no up-to-date view" true
     (Service.agreed_view svc = None)
 
+(* The decider lookup names the one member holding the role, and never
+   a crashed one. *)
+let test_decider_lookup () =
+  let svc = Harness.Run.settle (make ~n:5 ()) in
+  let holders () =
+    List.filter
+      (fun p ->
+        match Service.member_state svc p with
+        | Some s -> Member.is_decider s
+        | None -> false)
+      (Proc_id.all ~n:5)
+  in
+  (* between a decision send and its receipt nobody holds the role *)
+  let rec await k =
+    match Service.decider svc with
+    | Some d -> d
+    | None when k > 0 ->
+      Service.run svc ~until:(Time.add (Service.now svc) (Time.of_ms 1));
+      await (k - 1)
+    | None -> Alcotest.fail "no decider within 1 s"
+  in
+  let d = await 1000 in
+  check
+    Alcotest.(list int)
+    "the one holder" [ Proc_id.to_int d ]
+    (List.map Proc_id.to_int (holders ()));
+  let t = Service.now svc in
+  Service.crash_at svc t d;
+  let others = ref 0 in
+  for i = 1 to 400 do
+    Service.run svc ~until:(Time.add t (Time.of_ms (5 * i)));
+    match Service.decider svc with
+    | Some p when Proc_id.equal p d ->
+      Alcotest.failf "crashed %a named decider" Proc_id.pp d
+    | Some _ -> incr others
+    | None -> ()
+  done;
+  check Alcotest.bool "the role moved on" true (!others > 0)
+
 let () =
   Alcotest.run "service"
     [
@@ -156,6 +195,7 @@ let () =
             test_current_view_and_member_state;
           Alcotest.test_case "agreed view fail-aware" `Quick
             test_agreed_view_none_during_election;
+          Alcotest.test_case "decider" `Quick test_decider_lookup;
         ] );
       ( "fault injection",
         [
