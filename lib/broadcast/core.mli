@@ -11,21 +11,33 @@
 
 open Tasim
 
-type scratch
-(** Per-call working storage of {!recover}, shared by every copy of a
-    core and left empty between calls. *)
-
-type 'u t = {
-  self : Proc_id.t;
-  n : int;  (** team size *)
-  oal : Oal.t;  (** this process's view of the oal *)
-  buffers : 'u Buffers.t;
-  next_seq : int;  (** [seq] of this process's next proposal *)
-  scratch : scratch;
-}
+type 'u t
+(** A process's broadcast state. The oal is held as a list shared with
+    the decider plus this process's own acknowledgements beside it (a
+    set of ordinals), so receiving a decision rebuilds no entry just to
+    write this process's acks into it. {!oal} materialises the explicit
+    list; nothing outside reads the shared list without its overlay. *)
 
 val create : self:Proc_id.t -> n:int -> 'u t
 (** Empty oal and buffers, first proposal [seq] 0. *)
+
+val self : 'u t -> Proc_id.t
+val n : 'u t -> int
+val buffers : 'u t -> 'u Buffers.t
+val set_buffers : 'u t -> 'u Buffers.t -> 'u t
+
+val oal : 'u t -> Oal.t
+(** The explicit oal: the shared list with this process's own acks
+    written in, in one walk — the list as it leaves the process (its
+    decision, its views, its state transfer). The shared list itself
+    when there is no own ack to add. *)
+
+val set_oal : 'u t -> Oal.t -> 'u t
+(** Replace the oal wholesale, own acks included: [oal (set_oal t l)]
+    is [l]. *)
+
+val latest_membership : 'u t -> (int * Proc_set.t * Group_id.t) option
+(** {!Oal.latest_membership} of the oal, without materialising it. *)
 
 val submit :
   'u t -> clock:Time.t -> semantics:Semantics.t -> 'u -> 'u t * 'u Proposal.t
@@ -42,12 +54,21 @@ val retransmits : 'u t -> Proposal.id list -> 'u Proposal.t list
 
 val view : 'u t -> 'u t
 (** Add this process's ack to every descriptor whose proposal it has
-    received ({!Oal.ack_all_received}). *)
+    received: {!Oal.ack_all_received} on the explicit oal, kept in the
+    overlay. *)
 
 val adopt : 'u t -> Oal.t -> 'u t
-(** Take [oal], already merged with or replacing the local view by the
-    caller, as the local view: ack it ({!view}) and date the updates
-    delivered unordered from it ({!Buffers.learn_ordinals}). *)
+(** Replace the local view by [oal] (a later incarnation's list, or a
+    merge the caller made of explicit lists), own acks cleared, then ack
+    it ({!view}) and date the updates delivered unordered from it
+    ({!Buffers.learn_ordinals}). *)
+
+val merge : 'u t -> incoming:Oal.t -> 'u t
+(** {!adopt} of the local view merged with [incoming]
+    ({!Oal.merge}), own acks kept: the explicit result equals
+    [adopt t (Oal.merge ~local:(oal t) ~incoming)]. The merge runs on
+    the shared list, which an incoming decision usually covers, so the
+    result is the incoming list itself. *)
 
 val order_pending : 'u t -> now:Time.t -> 'u t
 (** Append a descriptor, acked by this process alone, for every

@@ -17,7 +17,18 @@
     - {e atomicity}: [Weak] has no constraint. [Strong] requires every
       update with ordinal <= the proposal's hdo to be received locally
       (or undeliverable). [Strict] requires those updates to be stable
-      (acknowledged by all group members, or undeliverable). *)
+      (acknowledged by all group members, or undeliverable).
+
+    The oal-wide conditions are checked against three frontiers, each
+    the lowest ordinal of an update entry still in the way: the {e
+    order} frontier (a total or timed entry neither delivered nor
+    undeliverable), the {e unreceived} frontier and the {e unstable}
+    frontier (an entry neither received, resp. stable, nor
+    undeliverable). A total or timed proposal is in order iff its
+    ordinal is at most the order frontier; Strong holds iff its hdo is
+    below the unreceived frontier, Strict iff below the unstable one.
+    Each frontier costs one early-exit walk of the oal, taken only when
+    a candidate needs it. *)
 
 open Tasim
 
@@ -29,11 +40,16 @@ val step :
   now_sync:Time.t ->
   timed_delay:Time.t ->
   'u delivery list * 'u Buffers.t
-(** Compute every proposal deliverable right now, iterating to a fixed
-    point (a delivery may unblock the next), and mark them delivered in
-    the returned buffers. Ordered deliveries come out in ascending
-    ordinal order; unordered ones in proposal-id order, before ordered
-    ones of the same round. *)
+(** Deliver every proposal the conditions allow right now and mark
+    them delivered in the returned buffers. Deliveries go in rounds:
+    each round delivers every pending proposal deliverable against the
+    buffers at its start, and a round that delivers something is
+    followed by another, since delivering moves the order frontier up.
+    Within a round, proposals with no ordinal come first in id order,
+    then the rest in ordinal order. Only the order frontier moves
+    between rounds, so a later round re-checks only the proposals it
+    held back, and its walk resumes where the last one stopped. With no
+    proposal pending it walks nothing. *)
 
 val blocked_reason :
   oal:Oal.t ->
@@ -43,4 +59,6 @@ val blocked_reason :
   'u Proposal.t ->
   string option
 (** Diagnostic: why a given stored proposal is not deliverable right
-    now ([None] when it is). Used by tests and the CLI inspector. *)
+    now ([None] when it is), from the same checks and frontiers {!step}
+    delivers by, in the order general, timing, order, atomicity. Used by
+    tests and the CLI inspector. *)

@@ -141,6 +141,15 @@ let first_update_ordinal t id =
   | () -> None
   | exception Found ordinal -> Some ordinal
 
+let first_from t from p =
+  match
+    Imap.iter
+      (fun ordinal e -> if ordinal >= from && p e then raise_notrace (Found ordinal))
+      t.entries
+  with
+  | () -> max_int
+  | exception Found ordinal -> ordinal
+
 let highest_ordinal t =
   match Imap.max_binding_opt t.entries with
   | Some (ordinal, _) -> ordinal
@@ -186,10 +195,29 @@ let ack_all_received t ~received ~by =
         { e with acks = Proc_set.add by e.acks }
       else e)
 
-let refresh_stability t ~group =
+let mark_stable t stable =
   map_changed t (fun e ->
-      if e.known_stable || not (Proc_set.subset group e.acks) then e
+      if e.known_stable || not (stable e) then e
       else { e with known_stable = true })
+
+let refresh_stability t ~group =
+  mark_stable t (fun e -> Proc_set.subset group e.acks)
+
+(* one walk over the entries: a fold of per-ordinal updates would copy
+   a map path per acked entry *)
+let add_acks t ~by acked =
+  let gains ordinal e = acked ordinal && not (Proc_set.mem by e.acks) in
+  if not (Imap.exists gains t.entries) then t
+  else
+    {
+      t with
+      entries =
+        Imap.mapi
+          (fun ordinal e ->
+            if gains ordinal e then { e with acks = Proc_set.add by e.acks }
+            else e)
+          t.entries;
+    }
 
 let purge_stable t ~delivered =
   (* the current group survives purging in the [current] field, so a
@@ -283,7 +311,17 @@ let undeliverable_ids t =
     t.entries []
   |> List.rev
 
-let merge ~local ~incoming =
+let body_equal a b =
+  match (a, b) with
+  | Update x, Update y ->
+    Proposal.id_equal x.proposal_id y.proposal_id
+    && Semantics.equal x.semantics y.semantics
+    && Time.equal x.send_ts y.send_ts && x.hdo = y.hdo
+  | Membership m1, Membership m2 ->
+    Proc_set.equal m1.group m2.group && Group_id.equal m1.group_id m2.group_id
+  | Update _, Membership _ | Membership _, Update _ -> false
+
+let merge_general ~local ~incoming =
   (* local entries below the incoming purge frontier are known stable.
      Local entries all have ordinal >= local.low (purging drops them),
      so when the incoming frontier is not ahead of ours no local entry
@@ -352,15 +390,58 @@ let merge ~local ~incoming =
     index;
   }
 
-let body_equal a b =
-  match (a, b) with
-  | Update x, Update y ->
-    Proposal.id_equal x.proposal_id y.proposal_id
-    && Semantics.equal x.semantics y.semantics
-    && Time.equal x.send_ts y.send_ts && x.hdo = y.hdo
-  | Membership m1, Membership m2 ->
-    Proc_set.equal m1.group m2.group && Group_id.equal m1.group_id m2.group_id
-  | Update _, Membership _ | Membership _, Update _ -> false
+(* The covered case: every local entry at or above the incoming
+   frontier is in the incoming list with an equal body, a subset of its
+   acks and no flag the incoming entry lacks; [next_ordinal] does not go
+   back; and the incoming membership memo wins. The general merge then
+   rebuilds each such entry into a copy of the incoming one, so the
+   incoming list itself is the result, plus the local entries below the
+   incoming frontier, marked stable. A receiver whose list came from
+   the previous decision is covered by the next one unless it changed an
+   entry the decider has not seen. *)
+let covered ~local ~incoming =
+  local.next_ordinal <= incoming.next_ordinal
+  && (match (local.current, incoming.current) with
+     | Some (_, _, g1), Some (_, _, g2) -> Group_id.compare g2 g1 >= 0
+     | None, _ -> true
+     | Some _, None -> false)
+  && Imap.for_all
+       (fun ordinal mine ->
+         ordinal < incoming.low
+         ||
+         match Imap.find ordinal incoming.entries with
+         | exception Not_found -> false
+         | inc ->
+           inc == mine
+           || (mine.body == inc.body || body_equal mine.body inc.body)
+              && Proc_set.subset mine.acks inc.acks
+              && ((not mine.undeliverable) || inc.undeliverable)
+              && ((not mine.known_stable) || inc.known_stable))
+       local.entries
+
+let merge ~local ~incoming =
+  if incoming.low < local.low || not (covered ~local ~incoming) then
+    merge_general ~local ~incoming
+  else if incoming.low = local.low then incoming
+  else
+    let below, _, _ = Imap.split incoming.low local.entries in
+    let entries, index =
+      Imap.fold
+        (fun ordinal e (entries, index) ->
+          ( Imap.add ordinal
+              (if e.known_stable then e else { e with known_stable = true })
+              entries,
+            match e.body with
+            | Update { proposal_id; _ } when not (Idmap.mem proposal_id index)
+              -> (
+              match Idmap.find_opt proposal_id local.index with
+              | Some o -> Idmap.add proposal_id o index
+              | None -> index)
+            | Update _ | Membership _ -> index ))
+        below
+        (incoming.entries, incoming.index)
+    in
+    { incoming with entries; index; low = local.low }
 
 let is_prefix a ~of_ =
   Imap.for_all
@@ -368,7 +449,7 @@ let is_prefix a ~of_ =
       if ordinal < of_.low then true
       else
         match Imap.find_opt ordinal of_.entries with
-        | None -> ordinal >= of_.next_ordinal && false
+        | None -> false
         | Some eb -> body_equal ea.body eb.body)
     a.entries
 

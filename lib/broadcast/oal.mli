@@ -84,6 +84,12 @@ val first_update_ordinal : t -> Proposal.id -> int option
     answers exactly even when a list holds the id twice. Costs a walk
     up to that entry. *)
 
+val first_from : t -> int -> (entry -> bool) -> int
+(** [first_from t o p]: the lowest ordinal [>= o] whose entry satisfies
+    [p], [max_int] when none does. The walk stops at that entry and
+    calls [p] on no entry below [o], so a caller that knows every entry
+    below [o] fails [p] resumes a walk there. *)
+
 val highest_ordinal : t -> int
 (** -1 when the list never held an entry. *)
 
@@ -109,6 +115,16 @@ val refresh_stability : t -> group:Proc_set.t -> t
     Membership entries are acked like updates (receipt of the decision
     message that introduced them). Only the entries that become stable
     are rebuilt; when none does, the result is the argument itself. *)
+
+val mark_stable : t -> (entry -> bool) -> t
+(** Set [known_stable] on every entry the predicate accepts, rebuilding
+    only those; {!refresh_stability} is [mark_stable] with "acked by all
+    of [group]". *)
+
+val add_acks : t -> by:Proc_id.t -> (int -> bool) -> t
+(** Add [by]'s acknowledgement to every entry whose ordinal the
+    predicate accepts, in one walk. The argument itself when no entry
+    gains it. *)
 
 val purge_stable : t -> delivered:(int -> bool) -> t
 (** Advance [low] over the longest head run of entries that are
@@ -150,7 +166,23 @@ val merge : local:t -> incoming:t -> t
     [low incoming]: incoming entries replace or extend local ones (acks
     are unioned; undeliverable marks are or-ed). Local entries below
     [low incoming] become [known_stable]. The local purge frontier
-    [low local] is kept. *)
+    [low local] is kept.
+
+    When the incoming list covers the local one — every local entry at
+    or above [low incoming] is in it with an equal body, a subset of
+    its acks and no flag it lacks, [next_ordinal] does not go back and
+    the incoming membership memo is the newer — the result is the
+    incoming list plus the local entries below [low incoming]: the
+    incoming value itself (physically) when both frontiers are equal.
+    A receiver that keeps its own acks beside the list (as
+    {!Core} does) is covered by almost every decision, so all members
+    share the decider's list. *)
+
+val merge_general : local:t -> incoming:t -> t
+(** {!merge} without the covered case: one entry-by-entry union, the
+    reference the tests hold {!merge} to. Both give the same {!to_wire}
+    image on every pair, and the same {!find_update} answers whenever
+    neither list holds an id twice. *)
 
 val is_prefix : t -> of_:t -> bool
 (** [is_prefix a ~of_:b]: every entry of [a] appears in [b] with the

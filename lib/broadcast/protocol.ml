@@ -51,7 +51,7 @@ let stability_step s =
   let fresh =
     List.filter
       (fun e -> e.Oal.known_stable && e.Oal.ordinal >= s.stable_seen)
-      (Oal.entries s.core.Core.oal)
+      (Oal.entries (Core.oal s.core))
   in
   let report e =
     match e.Oal.body with
@@ -103,12 +103,11 @@ let send_decision s ~clock =
   let core = Core.order_pending (Core.view s.core) ~now:clock in
   let s, stable_effects = settle s core in
   let s, deliver_effects = deliver_step { s with decider = false } ~clock in
-  let decision = Decision { ts = clock; oal = s.core.Core.oal } in
+  let decision = Decision { ts = clock; oal = Core.oal s.core } in
   (s, (Engine.Broadcast decision :: stable_effects) @ deliver_effects)
 
 let on_receive_decision s ~clock ~src ~oal =
-  let local = s.core.Core.oal in
-  let core = Core.adopt s.core (Oal.merge ~local ~incoming:oal) in
+  let core = Core.merge s.core ~incoming:oal in
   let s, stable_effects = settle s core in
   let nacks =
     List.map
@@ -116,8 +115,10 @@ let on_receive_decision s ~clock ~src ~oal =
       (Core.recover s.core ~group:s.group)
   in
   let s, deliver_effects = deliver_step s ~clock in
-  let { Core.self; n; _ } = s.core in
-  let become = Rotation.is_next_decider ~group:s.group ~after:src ~n self in
+  let become =
+    Rotation.is_next_decider ~group:s.group ~after:src ~n:(Core.n s.core)
+      (Core.self s.core)
+  in
   if become && not s.decider then
     ( { s with decider = true },
       nacks @ stable_effects @ deliver_effects

@@ -107,8 +107,8 @@ let form_epoch s = s.form_epoch
 let has_group s = Group_id.is_known s.group_id
 let is_decider s = s.decider
 let app s = s.app
-let oal_of s = s.core.Core.oal
-let buffers_of s = s.core.Core.buffers
+let oal_of s = Core.oal s.core
+let buffers_of s = Core.buffers s.core
 let alive_list s ~now = FD.alive_list s.fd ~now
 
 let submit ~semantics payload = C.Submit { semantics; payload }
@@ -193,9 +193,9 @@ let sync_expect_timer s : ('u, 'app) eff list =
   | Some dl -> [ Engine.Set_timer { key = timer_expect; at_clock = dl } ]
   | None -> [ Engine.Cancel_timer timer_expect ]
 
-let set_oal s oal = { s with core = { s.core with Core.oal } }
-let set_buffers s buffers = { s with core = { s.core with Core.buffers } }
-let my_view s = (Core.view s.core).Core.oal
+let set_oal s oal = { s with core = Core.set_oal s.core oal }
+let set_buffers s buffers = { s with core = Core.set_buffers s.core buffers }
+let my_view s = Core.oal (Core.view s.core)
 
 let deliver s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   if not (can_deliver s) then (s, [])
@@ -604,8 +604,8 @@ let on_submit s ~clock ~semantics payload =
 (* Only majority groups are valid membership descriptors (Section 3,
    property 5); anything else is noise from outside the failure model
    and is ignored defensively. *)
-let valid_membership s oal =
-  match Oal.latest_membership oal with
+let valid_membership s latest =
+  match latest with
   | Some (_, grp, gid) when Proc_set.is_majority grp ~n:s.n ->
     Some (grp, gid)
   | Some _ | None -> None
@@ -615,7 +615,7 @@ let valid_membership s oal =
    deliver. Returns the updated state plus whether the decision named a
    new group that excludes this process. *)
 let adopt_decision s ~clock ~(d : C.decision) =
-  let oal =
+  let core =
     (* A decision of a later incarnation (strictly higher formation
        epoch) carries the fresh history of a group formed after this
        process's group died. The local history must not be merged into
@@ -627,12 +627,13 @@ let adopt_decision s ~clock ~(d : C.decision) =
       | Some (_, _, gid) -> Group_id.epoch gid
       | None -> 0
     in
-    if incoming_epoch > Group_id.epoch s.group_id then d.C.d_oal
-    else Oal.merge ~local:(oal_of s) ~incoming:d.C.d_oal
+    if incoming_epoch > Group_id.epoch s.group_id then
+      Core.adopt s.core d.C.d_oal
+    else Core.merge s.core ~incoming:d.C.d_oal
   in
-  let s = { s with core = Core.adopt s.core oal } in
+  let s = { s with core } in
   let s, view_effects, excluded =
-    match valid_membership s (oal_of s) with
+    match valid_membership s (Core.latest_membership s.core) with
     | Some (grp, gid) when Group_id.later gid ~than:s.group_id ->
       if Proc_set.mem s.self grp then
         if CS.kind_of s.creator = CS.KJoin && Group_id.seq gid > 0 then
@@ -659,7 +660,7 @@ let adopt_decision s ~clock ~(d : C.decision) =
    join state, a membership descriptor of a later group (id > 0) is
    only actionable once the state transfer arrives. *)
 let decision_in_new_group s (d : C.decision) =
-  match valid_membership s d.C.d_oal with
+  match valid_membership s (Oal.latest_membership d.C.d_oal) with
   | Some (grp, gid) when Group_id.later gid ~than:s.group_id ->
     if Proc_set.mem s.self grp then
       not (CS.kind_of s.creator = CS.KJoin && Group_id.seq gid > 0)
@@ -669,7 +670,7 @@ let decision_in_new_group s (d : C.decision) =
 (* Track decisions from the members of a new group that excluded us (the
    delayed switch to join in the n-failure state). *)
 let track_exclusion s ~src (d : C.decision) =
-  match valid_membership s d.C.d_oal with
+  match valid_membership s (Oal.latest_membership d.C.d_oal) with
   | Some (grp, gid)
     when Group_id.later gid ~than:s.group_id
          && not (Proc_set.mem s.self grp) ->
@@ -728,7 +729,7 @@ let on_decision s ~clock ~src (d : C.decision) =
      outcome: it is authoritative regardless of where our ring pointer
      was when the election ran *)
   let election_outcome =
-    match valid_membership s d.C.d_oal with
+    match valid_membership s (Oal.latest_membership d.C.d_oal) with
     | Some (grp, gid) ->
       Group_id.later gid ~than:s.group_id && Proc_set.mem s.self grp
     | None -> false
@@ -902,7 +903,7 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
     let s =
       {
         s with
-        core = { s.core with Core.oal; buffers };
+        core = Core.set_oal (Core.set_buffers s.core buffers) oal;
         app = st.C.st_app;
         pending_new_group = None;
       }

@@ -1129,7 +1129,7 @@ let test_core_appender_ordinal () =
     Oal.append_membership Oal.empty ~group:(set_of [ 0; 1; 2 ])
       ~group_id:(Group_id.form ~epoch:0)
   in
-  let t = { t with Core.oal } in
+  let t = Core.set_oal t oal in
   let p = proposal ~origin:1 ~seq:0 "x" in
   let t = Option.get (Core.receive t ~now:(Time.of_ms 1) p) in
   let t, deliveries =
@@ -1138,19 +1138,19 @@ let test_core_appender_ordinal () =
   check Alcotest.int "delivered unordered" 1 (List.length deliveries);
   let t = Core.order_pending t ~now:(Time.of_ms 2) in
   let appended =
-    match Oal.find_update t.Core.oal p.Proposal.id with
+    match Oal.find_update (Core.oal t) p.Proposal.id with
     | Some e -> e.Oal.ordinal
     | None -> Alcotest.fail "not appended"
   in
   check Alcotest.int "after the membership entry" 1 appended;
   check Alcotest.bool "still undated after append" true
-    (List.mem p.Proposal.id (Buffers.dpd t.Core.buffers));
+    (List.mem p.Proposal.id (Buffers.dpd (Core.buffers t)));
   check Alcotest.bool "ordinal not yet delivered" false
-    (Buffers.delivered_ordinal t.Core.buffers appended);
-  let t = Core.adopt t t.Core.oal in
+    (Buffers.delivered_ordinal (Core.buffers t) appended);
+  let t = Core.adopt t (Core.oal t) in
   check Alcotest.(option int) "dated by adopt" (Some appended)
-    (Buffers.ordinal_of_delivered t.Core.buffers p.Proposal.id);
-  check Alcotest.int "dpd empty" 0 (List.length (Buffers.dpd t.Core.buffers))
+    (Buffers.ordinal_of_delivered (Core.buffers t) p.Proposal.id);
+  check Alcotest.int "dpd empty" 0 (List.length (Buffers.dpd (Core.buffers t)))
 
 let test_core_recover_holder () =
   (* p0 misses four updates, the last marked undeliverable; p1 acked
@@ -1169,7 +1169,7 @@ let test_core_recover_holder () =
     List.map
       (fun (holder, ids) ->
         (Proc_id.to_int holder, List.map (fun id -> id.Proposal.seq) ids))
-      (Core.recover { t with Core.oal } ~group)
+      (Core.recover (Core.set_oal t oal) ~group)
   in
   check
     Alcotest.(list (pair int (list int)))
@@ -1178,7 +1178,7 @@ let test_core_recover_holder () =
     nacks;
   (* the scratch is left empty: a second call answers the same *)
   check Alcotest.int "repeatable" 3
-    (List.length (Core.recover { t with Core.oal } ~group))
+    (List.length (Core.recover (Core.set_oal t oal) ~group))
 
 let test_core_receive_refusals () =
   let now = Time.of_ms 10 and expires = Time.of_ms 100 in
@@ -1187,22 +1187,22 @@ let test_core_receive_refusals () =
   let oal, _ =
     Oal.append_update Oal.empty (info ~origin:1 ~seq:0 ()) ~acks:(set_of [ 1 ])
   in
-  let fresh = { t with Core.oal } in
+  let fresh = Core.set_oal t oal in
   let refused t p = Option.is_none (Core.receive t ~now p) in
   let marked =
-    Buffers.mark_undeliverable t.Core.buffers p.Proposal.id ~expires
+    Buffers.mark_undeliverable (Core.buffers t) p.Proposal.id ~expires
   in
   check Alcotest.bool "marked id" true
-    (refused { fresh with Core.buffers = marked } p);
-  let blocked = Buffers.block_origin t.Core.buffers (pid 1) ~expires in
+    (refused (Core.set_buffers fresh marked) p);
+  let blocked = Buffers.block_origin (Core.buffers t) (pid 1) ~expires in
   check Alcotest.bool "blocked origin" true
-    (refused { fresh with Core.buffers = blocked } p);
+    (refused (Core.set_buffers fresh blocked) p);
   match Core.receive fresh ~now p with
   | None -> Alcotest.fail "fresh proposal refused"
   | Some t ->
-    check Alcotest.bool "stored" true (Buffers.received t.Core.buffers p.Proposal.id);
+    check Alcotest.bool "stored" true (Buffers.received (Core.buffers t) p.Proposal.id);
     check Alcotest.bool "acked" true
-      (match Oal.find_update t.Core.oal p.Proposal.id with
+      (match Oal.find_update (Core.oal t) p.Proposal.id with
        | Some e -> Proc_set.mem (pid 0) e.Oal.acks
        | None -> false);
     check Alcotest.bool "duplicate" true (refused t p)
@@ -1317,6 +1317,761 @@ let test_probe_targets () =
        (Dissemination.probe_targets ~group:(set_of [ 1 ]) ~self:(pid 1) ~n:5
           ~fanout:2 ~round:0))
 
+(* ------------------------------------------------------------------ *)
+(* Delivery frontiers against the round-based reference *)
+
+(* The delivery conditions as they were written before the frontiers:
+   every round re-checks every pending proposal, walking the whole oal
+   for order and atomicity. [Delivery.step] must deliver exactly what
+   this delivers, in the same order. *)
+module Ref_delivery = struct
+  let entry_resolved ~buffers entry =
+    match entry.Oal.body with
+    | Oal.Membership _ -> true
+    | Oal.Update info ->
+      entry.Oal.undeliverable || Buffers.delivered buffers info.Oal.proposal_id
+
+  let order_ok ~oal ~buffers entry =
+    let lower_ordered_resolved e =
+      e.Oal.ordinal >= entry.Oal.ordinal
+      ||
+      match e.Oal.body with
+      | Oal.Membership _ -> true
+      | Oal.Update info -> (
+        match info.Oal.semantics.Semantics.ordering with
+        | Semantics.Unordered -> true
+        | Semantics.Total | Semantics.Timed -> entry_resolved ~buffers e)
+    in
+    List.for_all lower_ordered_resolved (Oal.entries oal)
+
+  let atomicity_ok ~oal ~buffers ~(proposal : 'u Proposal.t) =
+    let hdo = proposal.Proposal.hdo in
+    let dep_ok strictness e =
+      e.Oal.ordinal > hdo
+      ||
+      match e.Oal.body with
+      | Oal.Membership _ -> true
+      | Oal.Update info -> (
+        e.Oal.undeliverable
+        ||
+        match strictness with
+        | `Received ->
+          Buffers.received buffers info.Oal.proposal_id
+          || Buffers.delivered buffers info.Oal.proposal_id
+        | `Stable -> e.Oal.known_stable)
+    in
+    match proposal.Proposal.semantics.Semantics.atomicity with
+    | Semantics.Weak -> true
+    | Semantics.Strong -> List.for_all (dep_ok `Received) (Oal.entries oal)
+    | Semantics.Strict -> List.for_all (dep_ok `Stable) (Oal.entries oal)
+
+  let general_check ~oal ~buffers ~now_sync (proposal : 'u Proposal.t) =
+    let id = proposal.Proposal.id in
+    if Buffers.delivered buffers id then Some "already delivered"
+    else if Buffers.is_marked buffers id ~now:now_sync then
+      Some "marked undeliverable locally"
+    else
+      match Oal.find_update oal id with
+      | Some entry when entry.Oal.undeliverable ->
+        Some "marked undeliverable in oal"
+      | Some _ -> None
+      | None -> (
+        match proposal.Proposal.semantics.Semantics.ordering with
+        | Semantics.Unordered -> None
+        | Semantics.Total | Semantics.Timed -> Some "no ordinal yet")
+
+  let timing_check ~now_sync ~timed_delay (proposal : 'u Proposal.t) =
+    match proposal.Proposal.semantics.Semantics.ordering with
+    | Semantics.Timed
+      when Time.compare now_sync
+             (Time.add proposal.Proposal.send_ts timed_delay)
+           < 0 ->
+      Some "timed delivery instant not reached"
+    | Semantics.Timed | Semantics.Total | Semantics.Unordered -> None
+
+  let blocked_reason ~oal ~buffers ~now_sync ~timed_delay proposal =
+    match general_check ~oal ~buffers ~now_sync proposal with
+    | Some r -> Some r
+    | None -> (
+      match timing_check ~now_sync ~timed_delay proposal with
+      | Some r -> Some r
+      | None ->
+        let entry = Oal.find_update oal proposal.Proposal.id in
+        let order_fine =
+          match (proposal.Proposal.semantics.Semantics.ordering, entry) with
+          | Semantics.Unordered, _ -> true
+          | (Semantics.Total | Semantics.Timed), Some e ->
+            order_ok ~oal ~buffers e
+          | (Semantics.Total | Semantics.Timed), None -> false
+        in
+        if not order_fine then Some "lower ordinal not yet delivered"
+        else if not (atomicity_ok ~oal ~buffers ~proposal) then
+          Some "dependencies not satisfied (atomicity)"
+        else None)
+
+  let step ~oal ~buffers ~now_sync ~timed_delay =
+    let rec round buffers acc =
+      let ready =
+        List.filter
+          (fun p ->
+            blocked_reason ~oal ~buffers ~now_sync ~timed_delay p = None)
+          (Buffers.pending buffers)
+      in
+      let ready =
+        List.map
+          (fun p ->
+            match Oal.find_update oal p.Proposal.id with
+            | Some e -> (p, Some e.Oal.ordinal)
+            | None -> (p, None))
+          ready
+      in
+      let key (p, o) =
+        match o with
+        | None -> (0, 0, p.Proposal.id)
+        | Some ordinal -> (1, ordinal, p.Proposal.id)
+      in
+      let ready =
+        List.sort
+          (fun a b ->
+            let ka, oa, ia = key a and kb, ob, ib = key b in
+            match Int.compare ka kb with
+            | 0 -> (
+              match Int.compare oa ob with
+              | 0 -> Proposal.id_compare ia ib
+              | c -> c)
+            | c -> c)
+          ready
+      in
+      match ready with
+      | [] -> (List.rev acc, buffers)
+      | _ ->
+        let buffers, acc =
+          List.fold_left
+            (fun (buffers, acc) (proposal, ordinal) ->
+              ( Buffers.note_delivered buffers proposal.Proposal.id ~ordinal,
+                { Delivery.proposal; ordinal } :: acc ))
+            (buffers, acc) ready
+        in
+        round buffers acc
+    in
+    round buffers []
+end
+
+(* A random delivery scenario: a pool of proposals over the nine
+   semantics, an oal ordering some of them (never-received ones too)
+   with membership entries, undeliverable marks, stability and ordinal
+   gaps in between, and buffers holding some of the pool, some already
+   delivered, under local marks and blocked origins. *)
+let delivery_scenario seed =
+  let rng = Rng.create seed in
+  let semantics = Array.of_list Semantics.all in
+  let count = 1 + Rng.int rng 10 in
+  let pool =
+    List.init count (fun seq ->
+        Proposal.make ~origin:(pid (Rng.int rng 4)) ~seq
+          ~semantics:(Rng.pick rng semantics)
+          ~send_ts:(Time.of_ms (Rng.int rng 300))
+          ~hdo:(Rng.int rng (count + 3) - 1)
+          (Fmt.str "u%d" seq))
+  in
+  let low = Rng.int rng 3 in
+  let ordered = Array.of_list pool in
+  Rng.shuffle rng ordered;
+  let next = ref low and entries = ref [] in
+  let push body =
+    if Rng.bool rng 0.1 then incr next;
+    entries :=
+      {
+        Oal.ordinal = !next;
+        body;
+        acks = set_of (List.filter (fun _ -> Rng.bool rng 0.5) [ 0; 1; 2; 3 ]);
+        undeliverable = Rng.bool rng 0.1;
+        known_stable = Rng.bool rng 0.4;
+      }
+      :: !entries;
+    incr next
+  in
+  Array.iter
+    (fun (p : string Proposal.t) ->
+      if Rng.bool rng 0.15 then
+        push
+          (Oal.Membership
+             { group = set_of [ 0; 1; 2 ]; group_id = Group_id.form ~epoch:0 });
+      if Rng.bool rng 0.75 then
+        push
+          (Oal.Update
+             {
+               Oal.proposal_id = p.Proposal.id;
+               semantics = p.Proposal.semantics;
+               send_ts = p.Proposal.send_ts;
+               hdo = p.Proposal.hdo;
+             }))
+    ordered;
+  let oal =
+    match
+      Oal.of_wire
+        {
+          Oal.w_low = low;
+          w_next_ordinal = !next;
+          w_entries = List.rev !entries;
+          w_latest = None;
+        }
+    with
+    | Ok oal -> oal
+    | Error e -> failwith e
+  in
+  let buffers =
+    List.fold_left
+      (fun b (p : string Proposal.t) ->
+        if Rng.bool rng 0.25 then b (* never received *)
+        else
+          let b = fst (Buffers.store b p) in
+          let b =
+            if Rng.bool rng 0.25 then
+              Buffers.note_delivered b p.Proposal.id
+                ~ordinal:
+                  (match Oal.find_update oal p.Proposal.id with
+                   | Some e when Rng.bool rng 0.8 -> Some e.Oal.ordinal
+                   | Some _ | None -> None)
+            else b
+          in
+          if Rng.bool rng 0.08 then
+            Buffers.mark_undeliverable b p.Proposal.id
+              ~expires:(Time.of_ms (Rng.int rng 500))
+          else b)
+      Buffers.empty pool
+  in
+  let buffers =
+    if Rng.bool rng 0.15 then
+      Buffers.block_origin buffers (pid (Rng.int rng 4))
+        ~expires:(Time.of_ms (Rng.int rng 500))
+    else buffers
+  in
+  (pool, oal, buffers, Time.of_ms (Rng.int rng 500))
+
+let timed_delay = Time.of_ms 200
+
+let delivered_ids ds =
+  List.map
+    (fun { Delivery.proposal; ordinal } -> (proposal.Proposal.id, ordinal))
+    ds
+
+(* [Some reason] when the frontier step and the reference disagree on
+   the scenario *)
+let delivery_mismatch seed =
+  let pool, oal, buffers, now_sync = delivery_scenario seed in
+  let ds, b = Delivery.step ~oal ~buffers ~now_sync ~timed_delay in
+  let rds, rb = Ref_delivery.step ~oal ~buffers ~now_sync ~timed_delay in
+  if delivered_ids ds <> delivered_ids rds then Some "deliveries"
+  else if Buffers.to_wire b <> Buffers.to_wire rb then Some "buffers"
+  else
+    List.find_map
+      (fun p ->
+        let r = Delivery.blocked_reason ~oal ~buffers ~now_sync ~timed_delay p in
+        if r = Ref_delivery.blocked_reason ~oal ~buffers ~now_sync ~timed_delay p
+        then None
+        else Some (Fmt.str "blocked_reason of %a" Proposal.pp_id p.Proposal.id))
+      pool
+
+let prop_delivery_matches_rounds =
+  QCheck.Test.make ~count:2000
+    ~name:"frontier step equals the round-based reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      match delivery_mismatch seed with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "seed %d: %s differ" seed what)
+
+(* the scenarios reach every semantics, every verdict and chains of
+   rounds, so the equality above is not vacuous *)
+let test_delivery_scenarios_cover () =
+  let delivered = Hashtbl.create 9 and reasons = Hashtbl.create 8 in
+  let longest = ref 0 in
+  for seed = 0 to 1999 do
+    (match delivery_mismatch seed with
+    | None -> ()
+    | Some what -> Alcotest.failf "seed %d: %s differ" seed what);
+    let pool, oal, buffers, now_sync = delivery_scenario seed in
+    let ds, _ = Delivery.step ~oal ~buffers ~now_sync ~timed_delay in
+    let ordered =
+      List.length (List.filter (fun d -> d.Delivery.ordinal <> None) ds)
+    in
+    longest := max !longest ordered;
+    List.iter
+      (fun { Delivery.proposal; _ } ->
+        Hashtbl.replace delivered proposal.Proposal.semantics ())
+      ds;
+    List.iter
+      (fun p ->
+        match Delivery.blocked_reason ~oal ~buffers ~now_sync ~timed_delay p with
+        | Some r -> Hashtbl.replace reasons r ()
+        | None -> ())
+      pool
+  done;
+  check Alcotest.int "every semantics delivered" 9 (Hashtbl.length delivered);
+  check Alcotest.int "every blocked reason seen" 7 (Hashtbl.length reasons);
+  check Alcotest.bool "chains of ordered deliveries" true (!longest >= 4)
+
+(* ------------------------------------------------------------------ *)
+(* Merge: the covered case against the general merge *)
+
+(* [seq] counts the ids handed out, so a member's list holds an id
+   once *)
+let random_update rng seq =
+  incr seq;
+  info ~origin:(Rng.int rng 4) ~seq:!seq
+    ~sem:(Rng.pick rng (Array.of_list Semantics.all))
+    ()
+
+let random_acks rng =
+  set_of (List.filter (fun _ -> Rng.bool rng 0.4) [ 0; 1; 2; 3 ])
+
+(* a random list built the way members build theirs: appends,
+   membership descriptors, acks, stability, undeliverable marks and
+   purges *)
+let random_oal rng seq =
+  let oal = ref Oal.empty in
+  for _ = 1 to Rng.int rng 9 do
+    if Rng.bool rng 0.1 then
+      oal :=
+        fst
+          (Oal.append_membership !oal ~group:(set_of [ 0; 1; 2 ])
+             ~group_id:(Group_id.v ~epoch:0 ~seq:(Rng.int rng 3)))
+    else
+      oal :=
+        fst (Oal.append_update !oal (random_update rng seq) ~acks:(random_acks rng))
+  done;
+  !oal
+
+(* what a later decider may have made of [oal]: more acks, more
+   entries, stability, marks and a purge *)
+let evolve rng seq oal =
+  let oal =
+    if Rng.bool rng 0.6 then
+      Oal.ack_all_received oal
+        ~received:(fun _ -> Rng.bool rng 0.7)
+        ~by:(pid (Rng.int rng 4))
+    else oal
+  in
+  let oal =
+    List.fold_left
+      (fun oal _ ->
+        fst (Oal.append_update oal (random_update rng seq) ~acks:(random_acks rng)))
+      oal
+      (List.init (Rng.int rng 3) Fun.id)
+  in
+  let oal =
+    if Rng.bool rng 0.5 then Oal.refresh_stability oal ~group:(set_of [ 0; 1 ])
+    else oal
+  in
+  let oal =
+    match Oal.entries oal with
+    | { Oal.body = Oal.Update i; _ } :: _ when Rng.bool rng 0.2 ->
+      Oal.mark_undeliverable oal i.Oal.proposal_id
+    | _ -> oal
+  in
+  if Rng.bool rng 0.4 then
+    Oal.purge_stable oal ~delivered:(fun _ -> Rng.bool rng 0.8)
+  else oal
+
+let update_ids oals =
+  List.concat_map
+    (fun oal ->
+      List.filter_map
+        (fun e ->
+          match e.Oal.body with
+          | Oal.Update i -> Some i.Oal.proposal_id
+          | Oal.Membership _ -> None)
+        (Oal.entries oal))
+    oals
+
+let same_oal a b ~ids =
+  Oal.to_wire a = Oal.to_wire b
+  && List.for_all (fun id -> Oal.find_update a id = Oal.find_update b id) ids
+
+let merge_pair seed =
+  let rng = Rng.create seed and seq = ref 0 in
+  let base = random_oal rng seq in
+  let incoming =
+    if Rng.bool rng 0.15 then begin
+      (* another member's history: the same ids at other ordinals *)
+      let issued = !seq in
+      seq := 0;
+      let other = random_oal rng seq in
+      seq := max issued !seq;
+      other
+    end
+    else evolve rng seq base
+  in
+  let local = if Rng.bool rng 0.3 then evolve rng seq base else base in
+  (local, incoming)
+
+let prop_merge_matches_general =
+  QCheck.Test.make ~count:2000 ~name:"merge equals the general merge"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let local, incoming = merge_pair seed in
+      same_oal
+        (Oal.merge ~local ~incoming)
+        (Oal.merge_general ~local ~incoming)
+        ~ids:(update_ids [ local; incoming ]))
+
+(* the pairs above are covered often enough for the equality to test
+   the covered case, in both of its shapes *)
+let test_merge_pairs_cover () =
+  let shared = ref 0 and below = ref 0 in
+  for seed = 0 to 1999 do
+    let local, incoming = merge_pair seed in
+    let merged = Oal.merge ~local ~incoming in
+    if merged == incoming then incr shared
+    else if
+      Oal.low incoming > Oal.low local
+      && Oal.entries merged
+         = Oal.entries (Oal.merge_general ~local ~incoming)
+      && List.exists (fun e -> e.Oal.ordinal < Oal.low incoming) (Oal.entries merged)
+    then incr below
+  done;
+  check Alcotest.bool "incoming returned itself" true (!shared > 200);
+  check Alcotest.bool "local entries below the frontier" true (!below > 20)
+
+let test_merge_covered_shares () =
+  let oal =
+    List.fold_left
+      (fun oal seq ->
+        fst (Oal.append_update oal (info ~origin:1 ~seq ()) ~acks:(set_of [ 1 ])))
+      Oal.empty [ 0; 1; 2 ]
+  in
+  let incoming =
+    fst
+      (Oal.append_update
+         (Oal.ack_all_received oal ~received:(fun _ -> true) ~by:(pid 2))
+         (info ~origin:2 ~seq:0 ()) ~acks:(set_of [ 2 ]))
+  in
+  check Alcotest.bool "covered, equal frontiers: the incoming value" true
+    (Oal.merge ~local:oal ~incoming == incoming);
+  (* a local ack the incoming list lacks is not covered *)
+  let local = Oal.ack_update oal { Proposal.origin = pid 1; seq = 1 } (pid 3) in
+  let merged = Oal.merge ~local ~incoming in
+  check Alcotest.bool "uncovered: a new list" false (merged == incoming);
+  check Alcotest.bool "uncovered: the general merge" true
+    (same_oal merged
+       (Oal.merge_general ~local ~incoming)
+       ~ids:(update_ids [ local; incoming ]));
+  (* a local counter ahead of the incoming one is not covered either,
+     even when every local entry is *)
+  let ahead =
+    match Oal.of_wire { (Oal.to_wire oal) with Oal.w_next_ordinal = 9 } with
+    | Ok oal -> oal
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.int "counter kept" 9
+    (Oal.next_ordinal (Oal.merge ~local:ahead ~incoming))
+
+(* ------------------------------------------------------------------ *)
+(* Core's own-ack overlay against a core that writes every ack *)
+
+(* The broadcast core as it was before the overlay: every own ack is
+   written into the oal as it is given. *)
+module Ref_core = struct
+  type t = {
+    self : Proc_id.t;
+    n : int;
+    oal : Oal.t;
+    buffers : string Buffers.t;
+    next_seq : int;
+  }
+
+  let create ~self ~n =
+    { self; n; oal = Oal.empty; buffers = Buffers.empty; next_seq = 0 }
+
+  let submit t ~clock ~semantics payload =
+    let p =
+      Proposal.make ~origin:t.self ~seq:t.next_seq ~semantics ~send_ts:clock
+        ~hdo:(Buffers.highest_delivered_ordinal t.buffers)
+        payload
+    in
+    let buffers, _ = Buffers.store t.buffers p in
+    let oal = Oal.ack_update t.oal p.Proposal.id t.self in
+    ({ t with oal; buffers; next_seq = t.next_seq + 1 }, p)
+
+  let receive t ~now (p : string Proposal.t) =
+    if Buffers.is_marked t.buffers p.Proposal.id ~now then None
+    else
+      match Buffers.store t.buffers p with
+      | _, false -> None
+      | buffers, true ->
+        Some { t with buffers; oal = Oal.ack_update t.oal p.Proposal.id t.self }
+
+  let view t =
+    let received id = Buffers.received t.buffers id in
+    { t with oal = Oal.ack_all_received t.oal ~received ~by:t.self }
+
+  let adopt t oal =
+    let t = view { t with oal } in
+    let find = Oal.first_update_ordinal t.oal in
+    { t with buffers = Buffers.learn_ordinals t.buffers ~find }
+
+  let order_pending t ~now =
+    let acks = Proc_set.singleton t.self in
+    let append oal (p : string Proposal.t) =
+      if
+        Oal.mem_update oal p.Proposal.id
+        || Buffers.is_marked t.buffers p.Proposal.id ~now
+      then oal
+      else
+        fst
+          (Oal.append_update oal
+             {
+               Oal.proposal_id = p.Proposal.id;
+               semantics = p.Proposal.semantics;
+               send_ts = p.Proposal.send_ts;
+               hdo = p.Proposal.hdo;
+             }
+             ~acks)
+    in
+    { t with oal = List.fold_left append t.oal (Buffers.stored t.buffers) }
+
+  let refresh t ~group = { t with oal = Oal.refresh_stability t.oal ~group }
+
+  let purge t =
+    let delivered o = Buffers.delivered_ordinal t.buffers o in
+    let oal = Oal.purge_stable t.oal ~delivered in
+    { t with oal; buffers = Buffers.compact t.buffers ~below:(Oal.low oal) }
+
+  let deliver t ~now =
+    let ds, buffers =
+      Ref_delivery.step ~oal:t.oal ~buffers:t.buffers ~now_sync:now
+        ~timed_delay
+    in
+    ({ t with buffers }, ds)
+
+  (* holders in first-asked order, each with its ids in oal order *)
+  let recover t ~group =
+    let asked = ref [] in
+    Oal.iter_entries t.oal (fun e ->
+        match e.Oal.body with
+        | Oal.Update info
+          when (not (Buffers.received t.buffers info.Oal.proposal_id))
+               && not e.Oal.undeliverable -> (
+          let holders =
+            let members = Proc_set.inter e.Oal.acks group in
+            if Proc_set.is_empty members then e.Oal.acks else members
+          in
+          match Proc_set.successor_in holders t.self ~n:t.n with
+          | Some h ->
+            let ids = try List.assoc h !asked with Not_found -> [] in
+            asked :=
+              if ids = [] then !asked @ [ (h, [ info.Oal.proposal_id ]) ]
+              else
+                List.map
+                  (fun (h', ids) ->
+                    if Proc_id.equal h h' then (h', ids @ [ info.Oal.proposal_id ])
+                    else (h', ids))
+                  !asked
+          | None -> ())
+        | Oal.Update _ | Oal.Membership _ -> ());
+    !asked
+end
+
+type core_op =
+  | C_submit of int
+  | C_receive of int
+  | C_merge of int
+  | C_replace of int
+  | C_view
+  | C_order
+  | C_refresh of bool
+  | C_purge
+  | C_deliver
+  | C_drop of int
+
+let pp_core_op ppf = function
+  | C_submit s -> Fmt.pf ppf "submit(sem %d)" s
+  | C_receive i -> Fmt.pf ppf "receive #%d" i
+  | C_merge s -> Fmt.pf ppf "merge(seed %d)" s
+  | C_replace s -> Fmt.pf ppf "replace(seed %d)" s
+  | C_view -> Fmt.string ppf "view"
+  | C_order -> Fmt.string ppf "order_pending"
+  | C_refresh all -> Fmt.pf ppf "refresh(%s)" (if all then "all" else "0-2")
+  | C_purge -> Fmt.string ppf "purge"
+  | C_deliver -> Fmt.string ppf "deliver"
+  | C_drop i -> Fmt.pf ppf "mark and drop #%d" i
+
+let gen_core_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun s -> C_submit s) (int_bound 8));
+        (5, map (fun i -> C_receive i) (int_bound 11));
+        (4, map (fun s -> C_merge s) (int_bound 1_000_000));
+        (1, map (fun s -> C_replace s) (int_bound 1_000_000));
+        (1, return C_view);
+        (2, return C_order);
+        (2, map (fun b -> C_refresh b) bool);
+        (2, return C_purge);
+        (3, return C_deliver);
+        (1, map (fun i -> C_drop i) (int_bound 11));
+      ])
+
+let arb_core_ops =
+  QCheck.make
+    ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_core_op))
+    QCheck.Gen.(list_size (int_bound 40) gen_core_op)
+
+(* proposals p1..p3 send; p0 runs the cores *)
+let core_pool =
+  let semantics = Array.of_list Semantics.all in
+  List.init 12 (fun i ->
+      Proposal.make
+        ~origin:(pid (1 + (i mod 3)))
+        ~seq:(i / 3)
+        ~semantics:semantics.(i mod 9)
+        ~send_ts:(Time.of_ms (10 * i))
+        ~hdo:((i / 2) - 1)
+        (Fmt.str "u%d" i))
+
+(* a decider's list grown from the receiver's explicit one: other
+   members' acks, descriptors for pool proposals the receiver may never
+   have received, stability and marks *)
+let decider_oal seed oal =
+  let rng = Rng.create seed in
+  let oal =
+    Oal.ack_all_received oal
+      ~received:(fun _ -> Rng.bool rng 0.8)
+      ~by:(pid (1 + Rng.int rng 3))
+  in
+  let oal =
+    List.fold_left
+      (fun oal (p : string Proposal.t) ->
+        if Oal.mem_update oal p.Proposal.id || not (Rng.bool rng 0.3) then oal
+        else
+          fst
+            (Oal.append_update oal
+               {
+                 Oal.proposal_id = p.Proposal.id;
+                 semantics = p.Proposal.semantics;
+                 send_ts = p.Proposal.send_ts;
+                 hdo = p.Proposal.hdo;
+               }
+               ~acks:(set_of [ p.Proposal.id.Proposal.origin |> Proc_id.to_int ])))
+      oal core_pool
+  in
+  let oal =
+    if Rng.bool rng 0.2 then
+      fst
+        (Oal.append_membership oal ~group:(set_of [ 0; 1; 2; 3 ])
+           ~group_id:(Group_id.v ~epoch:0 ~seq:(Rng.int rng 3)))
+    else oal
+  in
+  let oal =
+    if Rng.bool rng 0.3 then Oal.refresh_stability oal ~group:(set_of [ 1; 2; 3 ])
+    else oal
+  in
+  if Rng.bool rng 0.1 then
+    match Oal.entries oal with
+    | { Oal.body = Oal.Update i; _ } :: _ ->
+      Oal.mark_undeliverable oal i.Oal.proposal_id
+    | _ -> oal
+  else oal
+
+let prop_core_overlay_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"overlay core equals the core that writes every ack" arb_core_ops
+    (fun ops ->
+      let n = 4 and self = pid 0 in
+      let ids = List.map (fun (p : string Proposal.t) -> p.Proposal.id) core_pool in
+      let group_all = set_of [ 0; 1; 2; 3 ] in
+      let agree i (t, r) =
+        let fail what =
+          QCheck.Test.fail_reportf "after op %d: %s differs" i what
+        in
+        let oal = Core.oal t in
+        if Oal.to_wire oal <> Oal.to_wire r.Ref_core.oal then fail "oal";
+        if
+          not
+            (List.for_all
+               (fun id -> Oal.find_update oal id = Oal.find_update r.Ref_core.oal id)
+               ids)
+        then fail "find_update";
+        if Buffers.to_wire (Core.buffers t) <> Buffers.to_wire r.Ref_core.buffers
+        then fail "buffers";
+        List.iter
+          (fun group ->
+            if Core.recover t ~group <> Ref_core.recover r ~group then
+              fail "recover")
+          [ group_all; set_of [ 0; 2; 3 ] ]
+      in
+      let clock = ref 0 and last_decision = ref Oal.empty in
+      let step (t, r) op =
+        incr clock;
+        let now = Time.of_ms (10 * !clock) in
+        match op with
+        | C_submit s ->
+          let semantics = List.nth Semantics.all s in
+          let payload = Fmt.str "own%d" !clock in
+          let t, p = Core.submit t ~clock:now ~semantics payload in
+          let r, p' = Ref_core.submit r ~clock:now ~semantics payload in
+          if p <> p' then QCheck.Test.fail_report "submitted proposals differ";
+          (t, r)
+        | C_receive i -> (
+          let p = List.nth core_pool i in
+          match (Core.receive t ~now p, Ref_core.receive r ~now p) with
+          | Some t, Some r -> (t, r)
+          | None, None -> (t, r)
+          | _ -> QCheck.Test.fail_report "receive verdicts differ")
+        | C_merge seed ->
+          (* each decision builds on the one before, and now and then on
+             this member's own list (as if it came back through other
+             members), so no two lists order one id at two ordinals *)
+          let base =
+            if seed mod 4 = 0 then r.Ref_core.oal else !last_decision
+          in
+          let incoming = decider_oal seed base in
+          last_decision := incoming;
+          ( Core.merge t ~incoming,
+            Ref_core.adopt r (Oal.merge ~local:r.Ref_core.oal ~incoming) )
+        | C_replace seed ->
+          let incoming = decider_oal seed Oal.empty in
+          last_decision := incoming;
+          (Core.adopt t incoming, Ref_core.adopt r incoming)
+        | C_view -> (Core.view t, Ref_core.view r)
+        | C_order ->
+          (* this member's turn: its decision is the next base *)
+          let r = Ref_core.order_pending r ~now in
+          last_decision := r.Ref_core.oal;
+          (Core.order_pending t ~now, r)
+        | C_refresh all ->
+          let group = if all then group_all else set_of [ 0; 1; 2 ] in
+          (Core.refresh t ~group, Ref_core.refresh r ~group)
+        | C_purge -> (Core.purge t, Ref_core.purge r)
+        | C_deliver ->
+          let t, ds = Core.deliver t ~now ~timed_delay in
+          let r, rds = Ref_core.deliver r ~now in
+          if delivered_ids ds <> delivered_ids rds then
+            QCheck.Test.fail_report "deliveries differ";
+          (t, r)
+        | C_drop i ->
+          (* a member purges a proposal it marked undeliverable: its ack
+             stays in the oal, the payload goes *)
+          let drop b =
+            Buffers.purge_marked
+              (Buffers.mark_undeliverable b (List.nth core_pool i).Proposal.id
+                 ~expires:now)
+              ~now
+          in
+          ( Core.set_buffers t (drop (Core.buffers t)),
+            { r with Ref_core.buffers = drop r.Ref_core.buffers } )
+      in
+      let init = (Core.create ~self ~n, Ref_core.create ~self ~n) in
+      ignore
+        (List.fold_left
+           (fun (i, cores) op ->
+             let cores = step cores op in
+             agree i cores;
+             (i + 1, cores))
+           (0, init) ops);
+      true)
+
 let () =
   Alcotest.run "broadcast"
     [
@@ -1345,6 +2100,11 @@ let () =
           qcheck prop_oal_merge_matches_reference;
           qcheck prop_oal_purge_only_advances;
           qcheck prop_oal_partial_rewrite;
+          Alcotest.test_case "covered merge shares the incoming list" `Quick
+            test_merge_covered_shares;
+          qcheck prop_merge_matches_general;
+          Alcotest.test_case "merge pairs reach the covered case" `Quick
+            test_merge_pairs_cover;
         ] );
       ( "buffers",
         [
@@ -1371,6 +2131,9 @@ let () =
           Alcotest.test_case "timed waits" `Quick test_delivery_timed_waits;
           Alcotest.test_case "no redelivery" `Quick test_delivery_no_redelivery;
           Alcotest.test_case "blocked reason" `Quick test_delivery_blocked_reason;
+          qcheck prop_delivery_matches_rounds;
+          Alcotest.test_case "scenarios reach every verdict" `Quick
+            test_delivery_scenarios_cover;
         ] );
       ("rotation", [ Alcotest.test_case "ring" `Quick test_rotation ]);
       ( "protocol",
@@ -1387,6 +2150,7 @@ let () =
             test_core_appender_ordinal;
           Alcotest.test_case "nack holder choice" `Quick test_core_recover_holder;
           Alcotest.test_case "refused receipts" `Quick test_core_receive_refusals;
+          qcheck prop_core_overlay_matches_reference;
         ] );
       ( "dissemination",
         [
