@@ -66,27 +66,53 @@ open Broadcast
 
 (* a warm 32-entry ordering-and-acknowledgement list, the realistic
    payload for merge and codec benches *)
+let append_bench_update oal ~origin ~by i =
+  fst
+    (Oal.append_update oal
+       {
+         Oal.proposal_id = { Proposal.origin; seq = i };
+         semantics = Semantics.total_strong;
+         send_ts = Tasim.Time.of_us i;
+         hdo = i - 1;
+       }
+       ~acks:(Proc_set.singleton by))
+
 let bench_oal () =
   List.fold_left
     (fun oal i ->
-      fst
-        (Oal.append_update oal
-           {
-             Oal.proposal_id = { Proposal.origin = Proc_id.of_int (i mod 5); seq = i };
-             semantics = Semantics.total_strong;
-             send_ts = Tasim.Time.of_us i;
-             hdo = i - 1;
-           }
-           ~acks:(Proc_set.singleton (Proc_id.of_int 0))))
+      append_bench_update oal ~origin:(Proc_id.of_int (i mod 5))
+        ~by:(Proc_id.of_int 0) i)
     Oal.empty
     (List.init 32 Fun.id)
+
+(* The pair a receiver merges: its own list, and the next decider's,
+   which holds the decider's acks on every entry, two entries appended
+   since, and the lowest entry purged, so [low incoming = low local + 1]
+   and {!Oal.merge} takes the below-frontier fold, not the general
+   union. *)
+let bench_merge_pair () =
+  let local = bench_oal () in
+  let decider = Proc_id.of_int 1 in
+  let incoming = Oal.add_acks local ~by:decider (fun _ -> true) in
+  let incoming =
+    List.fold_left
+      (fun oal i -> append_bench_update oal ~origin:decider ~by:decider i)
+      incoming [ 32; 33 ]
+  in
+  let low = Oal.low incoming in
+  let incoming =
+    Oal.purge_stable
+      (Oal.mark_stable incoming (fun e -> e.Oal.ordinal = low))
+      ~delivered:(fun _ -> true)
+  in
+  (local, incoming)
 
 let microbenches () =
   let open Bechamel in
   let params = Params.make ~n:5 () in
   let fd = Failure_detector.create params ~self:(Proc_id.of_int 0) in
   let fd = Failure_detector.expect fd ~sender:(Proc_id.of_int 1) ~base:Tasim.Time.zero in
-  let oal = bench_oal () in
+  let local, incoming = bench_merge_pair () in
   let env =
     {
       Group_creator.self = Proc_id.of_int 0;
@@ -158,7 +184,11 @@ let microbenches () =
   in
   let oal_test =
     Test.make ~name:"oal merge (32 entries)"
-      (Staged.stage (fun () -> ignore (Oal.merge ~local:oal ~incoming:oal)))
+      (Staged.stage (fun () -> ignore (Oal.merge ~local ~incoming)))
+  in
+  let oal_general_test =
+    Test.make ~name:"oal merge_general (32 entries)"
+      (Staged.stage (fun () -> ignore (Oal.merge_general ~local ~incoming)))
   in
   let gc_test =
     Test.make ~name:"group-creator step"
@@ -191,6 +221,7 @@ let microbenches () =
     stats_string_test;
     fd_test;
     oal_test;
+    oal_general_test;
     gc_test;
     dispatcher_test;
     wheel_test;

@@ -29,7 +29,8 @@ type 'u t = {
      per-message paths cost in proportion to the updates in flight,
      not to the delivered history. Every function that writes either
      map keeps each index equal to the recomputation stated beside
-     it. *)
+     it, and [delivered] answers from them before it falls back to
+     the history. *)
   undated : Id_set.t;
       (* ids whose [delivered_map] binding is [None] *)
   pending : 'u Proposal.t Id_map.t;
@@ -85,7 +86,12 @@ let remove t id =
        else t.retained);
   }
 
-let delivered t id = Id_map.mem id t.delivered_map
+(* Window first: a stored id is delivered iff it is not pending, since
+   [pending] is [proposals] minus [delivered_map]. Only an id the window
+   does not hold is looked up in the history. *)
+let delivered t id =
+  if Id_map.mem id t.proposals then not (Id_map.mem id t.pending)
+  else Id_map.mem id t.delivered_map
 
 let note_delivered t id ~ordinal =
   let stored = Id_map.mem id t.proposals in

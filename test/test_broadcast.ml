@@ -462,6 +462,19 @@ let test_buffers_delivery_bookkeeping () =
   let b = Buffers.compact b ~below:4 in
   check Alcotest.bool "payload dropped" true (Buffers.get b p.Proposal.id = None)
 
+(* [delivered] answers from the window first; once [compact] drops
+   the payload, the history still answers for the id and its ordinal *)
+let test_buffers_compacted_stays_delivered () =
+  let p = proposal ~origin:1 ~seq:0 "x" and q = proposal ~origin:2 ~seq:0 "y" in
+  let b = fst (Buffers.store (fst (Buffers.store Buffers.empty p)) q) in
+  let b = Buffers.note_delivered b p.Proposal.id ~ordinal:(Some 3) in
+  let b = Buffers.compact b ~below:4 in
+  check Alcotest.bool "payload dropped" true (Buffers.get b p.Proposal.id = None);
+  check Alcotest.bool "still delivered" true (Buffers.delivered b p.Proposal.id);
+  check Alcotest.bool "ordinal still delivered" true (Buffers.delivered_ordinal b 3);
+  check Alcotest.bool "pending not delivered" false (Buffers.delivered b q.Proposal.id);
+  check Alcotest.bool "other ordinal" false (Buffers.delivered_ordinal b 4)
+
 let test_buffers_dpd () =
   let p = proposal ~origin:1 ~seq:0 "x" in
   let b, _ = Buffers.store Buffers.empty p in
@@ -709,7 +722,16 @@ let prop_buffers_indexes_match_model =
         same "delivered ordinals"
           (List.init 13 (fun o ->
                Ref_buffers.Int_set.mem o r.Ref_buffers.ordinals))
-          (List.init 13 (Buffers.delivered_ordinal b))
+          (List.init 13 (Buffers.delivered_ordinal b));
+        (* every id of the 3 x 4 space, stored, compacted or never seen *)
+        let every_id = List.init 12 (fun i -> id (i / 4) (i mod 4)) in
+        same "delivered ids"
+          (List.map (fun i -> Ref_buffers.Id_map.mem i r.Ref_buffers.delivered)
+             every_id)
+          (List.map (Buffers.delivered b) every_id);
+        same "received ids"
+          (List.map (Ref_buffers.received r) every_id)
+          (List.map (Buffers.received b) every_id)
       in
       let step (b, r) op =
         match op with
@@ -2110,6 +2132,8 @@ let () =
         [
           Alcotest.test_case "store/dedup" `Quick test_buffers_store_dedup;
           Alcotest.test_case "delivery" `Quick test_buffers_delivery_bookkeeping;
+          Alcotest.test_case "compacted stays delivered" `Quick
+            test_buffers_compacted_stays_delivered;
           Alcotest.test_case "dpd" `Quick test_buffers_dpd;
           Alcotest.test_case "marks expire" `Quick test_buffers_marks_and_expiry;
           Alcotest.test_case "block origin" `Quick test_buffers_block_origin;
