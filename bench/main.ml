@@ -8,7 +8,7 @@
      bench/main.exe e3            one experiment
      bench/main.exe quick e3      one experiment, reduced
      bench/main.exe micro         microbenchmarks + M1/M2/M3 macrobenches
-     bench/main.exe m3            the M3 large-N dissemination bench alone
+     bench/main.exe m3            the M3 N=64/256 receive-rate bench alone
      bench/main.exe topology      the topology-shaped chaos sweep: per-
                                   scenario convergence-time distributions
      bench/main.exe live-chaos    the live chaos sweep: seeded faults
@@ -23,7 +23,7 @@
    before any target runs, so a typo'd CI invocation fails loudly.
 
    The micro target additionally runs the M1 engine-throughput, M2
-   64-member and M3 large-N (256/1024) membership macrobenchmarks plus
+   64-member and M3 64/256-member membership macrobenchmarks plus
    the per-kind codec microbenchmarks. The micro, topology, live-chaos
    and live-perf targets record what they measured in
    BENCH_engine.json in the current directory (schema v8, DESIGN.md
@@ -40,11 +40,9 @@
    - M1 throughput must clear a catastrophic-regression floor of
      1M events/s (typical is ~4-5M; the floor only trips on an
      order-of-magnitude regression, not machine noise);
-   - M3 under gossip at N=256 must form the full view with zero false
-     suspicions (fixed seed, faultless run, adaptive suspicion on),
-     and its per-member receive rate must stay within 1.5x the N=64
-     gossip rate — the sublinearity probe. The N=1024 gossip point and
-     the all-to-all baselines are recorded but not gated;
+   - M3 at N=256 must form the full view with zero false suspicions
+     (fixed seed, faultless run), and its per-member receive rate must
+     stay within 1.5x the N=64 rate — the flatness probe;
    - the steady-state decode kinds (proposal, decision, cs-request,
      cs-reply) must stay under per-kind minor-word ceilings — the
      decode-allocation non-regression gate.
@@ -491,72 +489,52 @@ let m2_throughput ~quick =
     (fun () -> Harness.Member_bench.run ~seconds ())
     (fun r -> r.Harness.Member_bench.events_per_sec)
 
-(* M3: one run per (mode, n) point — the receive-rate and
-   false-suspicion numbers are seed-deterministic, so repetition buys
-   nothing. N=1024 only in full mode (its formation alone simulates
-   minutes of protocol time). *)
-let m3_points ~quick =
-  let base =
-    [
-      (Harness.M3_bench.Gossip, 64);
-      (Harness.M3_bench.Gossip, 256);
-      (Harness.M3_bench.All_to_all, 64);
-      (Harness.M3_bench.All_to_all, 256);
-    ]
-  in
-  if quick then base else base @ [ (Harness.M3_bench.Gossip, 1024) ]
+(* M3: one run per N — the receive-rate and false-suspicion numbers
+   are seed-deterministic, so repetition buys nothing. *)
+let m3_sizes = [ 64; 256 ]
 
-
-(* The gated sublinearity bound: under gossip the per-member receive
-   rate is set by the probe period and fanout, not by N, so the N=256
-   rate may exceed the N=64 rate only by slack (ring-successor decision
-   deliveries and rotation effects), not by anything resembling the 4x
-   of all-to-all. *)
+(* The gated flatness bound: each member receives about one decision
+   per rotation step whatever N is, so the N=256 rate may exceed the
+   N=64 rate only by slack, not by anything resembling the 4x that a
+   rate linear in N would show. *)
 let m3_rate_slack = 1.5
 
-let find_m3 rows mode n =
-  List.find_opt
-    (fun (r : Harness.M3_bench.result) -> r.mode = mode && r.n = n)
-    rows
+let find_m3 rows n =
+  List.find_opt (fun (r : Harness.M3_bench.result) -> r.n = n) rows
 
 let check_m3_gates rows =
-  (match find_m3 rows Harness.M3_bench.Gossip 256 with
-  | None -> gate "M3 gossip N=256 run missing" false
+  (match find_m3 rows 256 with
+  | None -> gate "M3 N=256 run missing" false
   | Some r ->
-    gate "M3 gossip N=256 did not form the full view" r.formed;
+    gate "M3 N=256 did not form the full view" r.formed;
     gate
-      (Fmt.str "M3 gossip N=256 saw %d false suspicions (want 0)"
-         r.false_suspicions)
+      (Fmt.str "M3 N=256 saw %d false suspicions (want 0)" r.false_suspicions)
       (r.false_suspicions = 0));
-  (match
-     ( find_m3 rows Harness.M3_bench.Gossip 64,
-       find_m3 rows Harness.M3_bench.Gossip 256 )
-   with
+  match (find_m3 rows 64, find_m3 rows 256) with
   | Some r64, Some r256 when r64.formed && r256.formed ->
     gate
       (Fmt.str
-         "M3 receive rate not sublinear: gossip N=256 %.1f/member/s vs \
-          N=64 %.1f/member/s (bound %.1fx)"
+         "M3 receive rate not flat: N=256 %.1f/member/s vs N=64 \
+          %.1f/member/s (bound %.1fx)"
          r256.receives_per_member_per_sec r64.receives_per_member_per_sec
          m3_rate_slack)
       (r256.receives_per_member_per_sec
       <= m3_rate_slack *. r64.receives_per_member_per_sec)
-  | _ -> gate "M3 gossip N=64 run missing or unformed" false)
+  | _ -> gate "M3 N=64 run missing or unformed" false
 
 let m3_table rows =
   let table =
     Harness.Table.create ~title:"M3: per-member receive rate vs N"
       ~columns:
         [
-          "mode"; "members"; "formed"; "form (sim s)"; "recv/member/s";
-          "false susp."; "events/sec";
+          "members"; "formed"; "form (sim s)"; "recv/member/s"; "false susp.";
+          "events/sec";
         ]
   in
   List.iter
     (fun (r : Harness.M3_bench.result) ->
       Harness.Table.add_row table
         [
-          Harness.M3_bench.mode_name r.mode;
           string_of_int r.n;
           (if r.formed then "yes" else "NO");
           Harness.Table.cell_f r.form_sim_seconds;
@@ -566,18 +544,14 @@ let m3_table rows =
         ])
     rows;
   Harness.Table.note table
-    "faultless steady state, fixed seed; gossip recv/member/s must stay \
-     ~flat in N (gated at 256 <= 1.5x 64), all-to-all grows linearly";
+    "faultless steady state, fixed seed; recv/member/s is flat in N (about \
+     one decision per rotation step; gated at 256 <= 1.5x 64)";
   table
 
 let measure_m3 ~quick =
-  Fmt.pr "@.=== M3: large-N dissemination (gossip vs all-to-all) ===@.@.";
+  Fmt.pr "@.=== M3: per-member receive rate at N=64/256 ===@.@.";
   let seconds = if quick then 3 else 10 in
-  let m3 =
-    List.map
-      (fun (mode, n) -> Harness.M3_bench.run ~n ~seconds ~mode ())
-      (m3_points ~quick)
-  in
+  let m3 = List.map (fun n -> Harness.M3_bench.run ~n ~seconds ()) m3_sizes in
   Harness.Table.print (m3_table m3);
   check_m3_gates m3;
   m3
@@ -622,7 +596,9 @@ let m3_run_record (r : Harness.M3_bench.result) =
     [
       ( "workload",
         String "large-N formation + faultless steady state, fixed seed" );
-      ("mode", String (Harness.M3_bench.mode_name r.mode));
+      (* every decision goes to all members; the field keeps this row
+         comparable with earlier m3_runs rows, which hold two modes *)
+      ("mode", String "all-to-all");
       ("n", Int r.n);
       ("formed", Bool r.formed);
       ("form_sim_seconds", Float r.form_sim_seconds);
@@ -894,8 +870,8 @@ let run_micro ~quick () =
   exit_if_gates_failed ()
 
 (* Topology sweep sizing: the small scenarios are cheap (n<=6, ~3 sim
-   seconds each) so they get many seeds; churn-gossip-64 simulates a
-   64-member gossip group through formation plus churn (~12 sim
+   seconds each) so they get many seeds; churn-64 simulates a
+   64-member group through formation plus churn (~12 sim
    seconds, the dominant wall cost) so it gets few. *)
 let topology_sweep_runs ~quick (s : Chaos.Topology.scenario) =
   if s.Chaos.Topology.n >= 64 then if quick then 1 else 2

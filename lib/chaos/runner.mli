@@ -50,8 +50,8 @@ val run :
 (** [probe] is called once on the freshly built service, before
     anything runs — the place to install extra observers (the CLI's
     verbose replay uses it to print views and suspicions). [params]
-    overrides the protocol parameters of the run (the churn scenarios
-    run under gossip dissemination); the default is
+    overrides the protocol parameters of the run (the churn scenario
+    runs under adaptive suspicion); the default is
     [Params.make ~n ()], unchanged. *)
 
 val ok : outcome -> bool

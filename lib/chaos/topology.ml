@@ -168,15 +168,12 @@ let drift_storm =
     plan;
   }
 
-(* Sustained churn at N=64 under gossip dissemination + adaptive
-   suspicion (the M3 configuration): three members leave and rejoin on
-   overlapping windows while decisions travel by piggyback. *)
-let churn_gossip_64 =
+(* Sustained churn at N=64 under adaptive suspicion: three members
+   leave and rejoin on overlapping windows while every decision goes to
+   all members. *)
+let churn_64 =
   let n = 64 in
-  let params =
-    Params.make ~n ~dissemination:Broadcast.Dissemination.default_gossip
-      ~adaptive_suspicion:true ()
-  in
+  let params = Params.make ~n ~adaptive_suspicion:true () in
   let plan ~seed =
     let rng = Rng.create seed in
     let p1 = Rng.int rng n in
@@ -197,14 +194,14 @@ let churn_gossip_64 =
     }
   in
   {
-    name = "churn-gossip-64";
+    name = "churn-64";
     n;
     params = Some params;
-    describe = "N=64 gossip + adaptive suspicion, 3 overlapping leave/rejoins";
+    describe = "N=64 adaptive suspicion, 3 overlapping leave/rejoins";
     plan;
   }
 
-let scenarios = [ asym_slow_link; multi_dc; drift_storm; churn_gossip_64 ]
+let scenarios = [ asym_slow_link; multi_dc; drift_storm; churn_64 ]
 let find name = List.find_opt (fun s -> s.name = name) scenarios
 
 (* ------------------------------------------------------------------ *)

@@ -15,9 +15,8 @@
     - ["drift-storm"] (n=5): every link near delta with late delays
       straddling [late_bound = delta + epsilon + sigma], plus slow
       scheduling — the fail-aware rejection path under maximum stress;
-    - ["churn-gossip-64"] (n=64): sustained overlapping leave/rejoin
-      churn under gossip dissemination and adaptive suspicion (the M3
-      configuration).
+    - ["churn-64"] (n=64): sustained overlapping leave/rejoin churn
+      under adaptive suspicion.
 
     A (scenario, seed) pair is fully deterministic: the seed picks the
     scenario's shape (which link, which DC, which churners) and doubles
@@ -33,8 +32,8 @@ type scenario = {
   name : string;
   n : int;
   params : Params.t option;
-      (** protocol-parameter override ([churn-gossip-64] runs gossip);
-          [None] = defaults *)
+      (** protocol-parameter override ([churn-64] turns on adaptive
+          suspicion); [None] = defaults *)
   describe : string;
   plan : seed:int -> Plan.t;
       (** deterministic in [seed]; the plan's seed is the run's engine

@@ -11,15 +11,8 @@ type ('u, 'app) t =
   | Join_msg of join
   | Reconfig of 'u reconfig
   | State_transfer of ('u, 'app) state_transfer
-  | Gossip of gossip
 
 and decision = { d_ts : Time.t; d_oal : Oal.t; d_alive : Proc_set.t }
-
-and gossip = {
-  g_ts : Time.t;
-  g_alive : Proc_set.t;
-  g_decisions : decision list;
-}
 
 and 'u no_decision = {
   nd_ts : Time.t;
@@ -56,7 +49,7 @@ and ('u, 'app) state_transfer = {
 }
 
 let is_control = function
-  | Decision _ | No_decision _ | Join_msg _ | Reconfig _ | Gossip _ -> true
+  | Decision _ | No_decision _ | Join_msg _ | Reconfig _ -> true
   | Submit _ | Proposal_msg _ | Retransmit _ | Nack _ | State_transfer _ ->
     false
 
@@ -65,7 +58,6 @@ let control_ts = function
   | No_decision nd -> Some nd.nd_ts
   | Join_msg j -> Some j.j_ts
   | Reconfig r -> Some r.r_ts
-  | Gossip g -> Some g.g_ts
   | Submit _ | Proposal_msg _ | Retransmit _ | Nack _ | State_transfer _ ->
     None
 
@@ -74,7 +66,6 @@ let alive_of = function
   | No_decision nd -> Some nd.nd_alive
   | Join_msg j -> Some j.j_alive
   | Reconfig r -> Some r.r_alive
-  | Gossip g -> Some g.g_alive
   | Submit _ | Proposal_msg _ | Retransmit _ | Nack _ | State_transfer _ ->
     None
 
@@ -88,7 +79,6 @@ let kind = function
   | Join_msg _ -> "join"
   | Reconfig _ -> "reconfiguration"
   | State_transfer _ -> "state-transfer"
-  | Gossip _ -> "gossip"
 
 let pp ppf = function
   | Submit _ -> Fmt.string ppf "submit"
@@ -110,6 +100,3 @@ let pp ppf = function
   | State_transfer { st_group; st_group_id; _ } ->
     Fmt.pf ppf "state-transfer(grp#%a %a)" Group_id.pp st_group_id Proc_set.pp
       st_group
-  | Gossip { g_ts; g_decisions; _ } ->
-    Fmt.pf ppf "gossip(ts=%a decisions=%d)" Time.pp g_ts
-      (List.length g_decisions)

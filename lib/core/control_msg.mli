@@ -27,11 +27,6 @@ type ('u, 'app) t =
   | Join_msg of join
   | Reconfig of 'u reconfig
   | State_transfer of ('u, 'app) state_transfer
-  | Gossip of gossip
-      (** periodic probe under gossip dissemination: carries the
-          sender's alive-list (feeding surveillance and alive-windows
-          in place of the all-to-all decision broadcast) plus up to the
-          piggyback budget of recent decisions *)
 
 and decision = {
   d_ts : Time.t;  (** sender's synchronized clock at send time *)
@@ -74,15 +69,6 @@ and 'u reconfig = {
   r_alive : Proc_set.t;
 }
 
-and gossip = {
-  g_ts : Time.t;
-  g_alive : Proc_set.t;
-  g_decisions : decision list;
-      (** freshest first; receivers adopt (merge) but never run the
-          decider FSM off a gossiped copy — rotation is driven by the
-          direct decision send to the ring successor *)
-}
-
 and ('u, 'app) state_transfer = {
   st_ts : Time.t;
   st_group : Proc_set.t;
@@ -95,8 +81,7 @@ and ('u, 'app) state_transfer = {
 }
 
 val is_control : ('u, 'app) t -> bool
-(** Decision, no-decision, join, reconfiguration and gossip
-    messages. *)
+(** Decision, no-decision, join and reconfiguration messages. *)
 
 val control_ts : ('u, 'app) t -> Time.t option
 (** Send timestamp of a control message, [None] otherwise. *)

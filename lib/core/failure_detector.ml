@@ -6,7 +6,6 @@ type t = {
   params : Params.t;
   self : Proc_id.t;
   heard : Time.t Pmap.t; (* proc -> freshest control msg send ts *)
-  probed : Time.t Pmap.t; (* proc -> freshest gossip probe send ts *)
   surveillance : (Proc_id.t * Time.t) option; (* expected sender, base ts *)
   health : int; (* local-health score: 0 = healthy, grows on lateness *)
   health_decayed : Time.t; (* last time the score decayed *)
@@ -22,7 +21,6 @@ let create params ~self =
     params;
     self;
     heard = Pmap.empty;
-    probed = Pmap.empty;
     surveillance = None;
     health = 0;
     health_decayed = Time.zero;
@@ -32,7 +30,7 @@ let health t = t.health
 
 (* Base timeout scaled by (1 + health); identical to the paper's 2D
    deadline when adaptive suspicion is off (health is then pinned 0). *)
-let timeout t = Time.mul (Params.suspicion_timeout t.params) (1 + t.health)
+let timeout t = Time.mul (Params.fd_timeout t.params) (1 + t.health)
 
 let note_late_evidence t ~now =
   if not t.params.Params.adaptive_suspicion then t
@@ -50,35 +48,17 @@ let decay_health t ~now =
 
 type verdict = Fresh | Stale | Late
 
-(* Admission against one freshness channel: [floor] is the channel's
-   per-sender newest timestamp, [set] stores an updated floor. *)
-let admit_to ~floor ~set t ~from ~ts ~now =
+let admit t ~from ~ts ~now =
   if Time.compare (Time.sub now ts) (Params.late_bound t.params) > 0 then
     (* a late inbound message is evidence that we (the receiver) are
        processing slowly — or the sender is; either way, doubt our own
        timeliness before doubting the peers we watch *)
     (note_late_evidence t ~now, Late)
   else
-    match Pmap.find_opt from floor with
+    match Pmap.find_opt from t.heard with
     | Some prev when Time.compare ts prev <= 0 -> (t, Stale)
     | Some _ | None ->
-      (decay_health (set t (Pmap.add from ts floor)) ~now, Fresh)
-
-let admit t ~from ~ts ~now =
-  admit_to ~floor:t.heard ~set:(fun t heard -> { t with heard }) t ~from ~ts
-    ~now
-
-(* Gossip probes are a freshness channel of their own: a probe is
-   stamped when the sender's probe timer fires, so it routinely carries
-   a NEWER timestamp than a ring control message of the same sender
-   still in flight. Folding both into one per-sender floor would let a
-   probe overtake a decision and get the decision rejected as stale —
-   which is how a decider handover would be lost. Probes therefore
-   order only against other probes; [heard] (and with it the staleness
-   floor of ring control messages) is untouched. *)
-let admit_probe t ~from ~ts ~now =
-  admit_to ~floor:t.probed ~set:(fun t probed -> { t with probed }) t ~from
-    ~ts ~now
+      (decay_health { t with heard = Pmap.add from ts t.heard } ~now, Fresh)
 
 let note_sent t ~ts = { t with heard = Pmap.add t.self ts t.heard }
 let last_heard t p = Pmap.find_opt p t.heard
@@ -94,15 +74,12 @@ let alive_list t ~now =
   let collect p ts acc =
     if Time.compare ts horizon >= 0 then Proc_set.add p acc else acc
   in
-  Pmap.fold collect t.probed
-    (Pmap.fold collect t.heard (Proc_set.singleton t.self))
+  Pmap.fold collect t.heard (Proc_set.singleton t.self)
 
-let forget t p =
-  { t with heard = Pmap.remove p t.heard; probed = Pmap.remove p t.probed }
+let forget t p = { t with heard = Pmap.remove p t.heard }
 
 let expect t ~sender ~base = { t with surveillance = Some (sender, base) }
 let suspend t = { t with surveillance = None }
-let expected t = Option.map fst t.surveillance
 
 let deadline t =
   Option.map (fun (_, base) -> Time.add base (timeout t)) t.surveillance

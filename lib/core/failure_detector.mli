@@ -38,15 +38,6 @@ val admit : t -> from:Proc_id.t -> ts:Time.t -> now:Time.t -> t * verdict
 (** Check a control message and, when [Fresh], record the sender as
     heard-from. *)
 
-val admit_probe : t -> from:Proc_id.t -> ts:Time.t -> now:Time.t -> t * verdict
-(** Like {!admit}, but for gossip probes. Probes are stamped when the
-    sender's probe timer fires, so they routinely carry a newer
-    timestamp than a ring control message of the same sender still in
-    flight; to keep such a probe from shadowing the control message
-    into a [Stale] rejection, probe freshness is tracked per sender in
-    its own channel and never advances the staleness floor used by
-    {!admit}. Fresh probes do count toward {!alive_list}. *)
-
 val note_sent : t -> ts:Time.t -> t
 (** Record a control message this process itself just sent: needed so a
     process never concurs with a suspicion of itself (it knows it
@@ -74,7 +65,7 @@ val forget : t -> Proc_id.t -> t
     process is running slowly — a late-rejected inbound message, or a
     local timer that fired well past its deadline — bumps a saturating
     local-health score. The surveillance timeout is the base
-    [Params.suspicion_timeout] scaled by [1 + health], so a slow member
+    [Params.fd_timeout] scaled by [1 + health], so a slow member
     stretches its own deadlines instead of wrongly suspecting timely
     peers (Lifeguard's local health multiplier, PAPERS.md). The score
     decays by one per elapsed cycle of fresh traffic. With adaptive
@@ -90,7 +81,7 @@ val health : t -> int
 
 val timeout : t -> Time.t
 (** The surveillance deadline increment currently in force:
-    [suspicion_timeout * (1 + health)]. *)
+    [fd_timeout * (1 + health)]. *)
 
 (** {1 Expected-sender surveillance} *)
 
@@ -102,7 +93,6 @@ val suspend : t -> t
 (** Stop ring surveillance (used in the n-failure state, where the
     slotted reconfiguration protocol takes over). *)
 
-val expected : t -> Proc_id.t option
 val deadline : t -> Time.t option
 (** The synchronized time at which a timeout failure must be reported,
     when surveillance is armed. *)

@@ -11,7 +11,6 @@ module Pmap = Proc_id.Map
 let timer_expect = 1
 let timer_decide = 2
 let timer_slot = 3
-let timer_gossip = 4
 
 type persistent = { last_group_id : Group_id.t; last_group : Proc_set.t }
 
@@ -91,11 +90,6 @@ type ('u, 'app) state = {
   alive_views : alive_info Pmap.t;
   pending_new_group : (Group_id.t * Proc_set.t * Proc_set.t) option;
       (* excluded while in n-failure: (group_id, group, members heard) *)
-  gossip_q : C.decision Dissemination.Queue.t;
-      (* decisions awaiting piggybacked forwarding (gossip mode only);
-         doubles as the seen-rank dedup for gossiped copies *)
-  gossip_round : int; (* probe rounds sent, drives target rotation *)
-  gossip_due : Time.t; (* when the armed gossip timer ought to fire *)
 }
 
 type ('u, 'app) eff = (('u, 'app) C.t, 'u obs) Engine.effect
@@ -131,40 +125,6 @@ let env_of s ~clock =
 
 let member_of_current_group s =
   Group_id.is_known s.group_id && Proc_set.mem s.self s.group
-
-(* ------------------------------------------------------------------ *)
-(* gossip dissemination helpers                                        *)
-
-let gossip_mode s =
-  match (params s).Params.dissemination with
-  | Dissemination.Gossip _ -> true
-  | Dissemination.All_to_all -> false
-
-(* Rank of a decision for the piggyback queue: formation epoch first
-   (a decision of a later incarnation supersedes any queued older-epoch
-   one), decision timestamp within the epoch. *)
-let decision_rank (d : C.decision) =
-  let epoch =
-    match Oal.latest_membership d.C.d_oal with
-    | Some (_, _, gid) -> Group_id.epoch gid
-    | None -> 0
-  in
-  (epoch, Time.to_us d.C.d_ts)
-
-(* Queue a decision for piggybacked forwarding. Returns whether it was
-   fresh (rank above everything this process already gossiped): stale
-   gossiped copies are neither re-adopted nor re-forwarded. No-op under
-   all-to-all. *)
-let gossip_enqueue s (d : C.decision) =
-  match (params s).Params.dissemination with
-  | Dissemination.All_to_all -> (s, false)
-  | Dissemination.Gossip { max_forwards; _ } ->
-    let epoch, stamp = decision_rank d in
-    let gossip_q, fresh =
-      Dissemination.Queue.push s.gossip_q ~epoch ~stamp ~forwards:max_forwards
-        d
-    in
-    ({ s with gossip_q }, fresh)
 
 (* Every view install goes through here. Stable storage records the
    view before the observation reports it, so a recovered incarnation
@@ -231,40 +191,27 @@ let housekeeping_oal s =
 
 (* Record a control message we are about to broadcast: remember it for
    wrong-suspicion retransmission and, for ring messages (decisions and
-   no-decisions), point the surveillance at our own successor — except
-   under gossip dissemination, where surveillance always watches the
-   ring predecessor (it is fed by the predecessor's probes, not by
-   every member's broadcasts), so a ring send re-arms the predecessor
-   watch instead. *)
+   no-decisions), point the surveillance at our own successor. *)
 let send_control s ~ring ~ts msg : ('u, 'app) state * ('u, 'app) eff list =
   let s =
     { s with last_control_sent = Some msg; fd = FD.note_sent s.fd ~ts }
   in
   if not ring then (s, [ Engine.Broadcast msg ])
-  else if gossip_mode s then begin
-    match Proc_set.predecessor_in s.group s.self ~n:s.n with
-    | Some pred when not (Proc_id.equal pred s.self) ->
-      let s = { s with fd = FD.expect s.fd ~sender:pred ~base:ts } in
-      (s, Engine.Broadcast msg :: sync_expect_timer s)
-    | Some _ | None -> (s, [ Engine.Broadcast msg ])
-  end
-  else begin
+  else
     match Proc_set.successor_in s.group s.self ~n:s.n with
     | Some next ->
       let s = { s with fd = FD.expect s.fd ~sender:next ~base:ts } in
-      (s, (Engine.Broadcast msg :: sync_expect_timer s))
+      (s, Engine.Broadcast msg :: sync_expect_timer s)
     | None -> (s, [ Engine.Broadcast msg ])
-  end
 
 let decision s ~clock =
   { C.d_ts = clock; d_oal = oal_of s; d_alive = FD.alive_list s.fd ~now:clock }
 
-(* Send a decision as the decider: give up the role, queue the copy for
-   gossip (a no-op under all-to-all) and broadcast it on the ring. *)
+(* Send a decision as the decider: give up the role and broadcast it on
+   the ring. *)
 let broadcast_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   let d = decision s ~clock in
   let s = { s with decider = false; last_decision_ts = clock } in
-  let s, _ = gossip_enqueue s d in
   send_control s ~ring:true ~ts:clock (C.Decision d)
 
 (* ------------------------------------------------------------------ *)
@@ -346,31 +293,7 @@ let send_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   in
   let s = { s with core = Core.order_pending s.core ~now:clock } in
   let s = housekeeping_oal s in
-  let s, send_effects =
-    if not (gossip_mode s) then broadcast_decision s ~clock
-    else begin
-      (* gossip: the decision travels point-to-point to the ring
-         successor — it hands over the decider role and satisfies the
-         successor's surveillance of us — and reaches everyone else by
-         riding our (and then their) probes *)
-      let d = decision s ~clock in
-      let msg = C.Decision d in
-      let s =
-        {
-          s with
-          decider = false;
-          last_decision_ts = clock;
-          last_control_sent = Some msg;
-          fd = FD.note_sent s.fd ~ts:clock;
-        }
-      in
-      let s, _ = gossip_enqueue s d in
-      match Proc_set.successor_in s.group s.self ~n:s.n with
-      | Some next when not (Proc_id.equal next s.self) ->
-        (s, [ Engine.Send (next, msg) ])
-      | Some _ | None -> (s, [])
-    end
-  in
+  let s, send_effects = broadcast_decision s ~clock in
   let transfer_targets =
     Proc_set.union joiners (needs_transfer_refresh s ~clock)
   in
@@ -490,12 +413,7 @@ let create_group s ~clock ~new_group : ('u, 'app) state * ('u, 'app) eff list =
   let s, view_effect =
     install_view (set_oal s oal) ~clock ~group:new_group ~group_id
   in
-  (* 8. housekeeping and broadcast as the new decider. Election
-     outcomes are always broadcast, even under gossip dissemination:
-     every survivor must learn the new view promptly, and electors may
-     have their probe surveillance suspended. The copy is also queued
-     for gossip so probes keep re-carrying it to anyone who missed the
-     broadcast. *)
+  (* 8. housekeeping and broadcast as the new decider *)
   let s = housekeeping_oal s in
   let s, send_effects = broadcast_decision s ~clock in
   let s, deliver_effects = deliver s ~clock in
@@ -691,30 +609,14 @@ let realign_surveillance s ~from ~ts =
      from a group member, expect its successor next — unless the ring is
      suspended (join, n-failure). When the successor is this process
      itself there is nobody to surveil: our own next send re-arms the
-     surveillance (and if we fail to send, the others exclude us).
-
-     Under gossip dissemination the watch relation is fixed instead of
-     rotating: each member watches its ring predecessor, whose probes
-     (or direct decision sends) arrive every probe period. A fresh
-     control message from the predecessor re-arms the watch; messages
-     from anyone else arm it only when it is idle (e.g. right after a
-     view change). *)
+     surveillance (and if we fail to send, the others exclude us). *)
   if not (CS.up_to_date s.creator) then s
-  else if gossip_mode s then begin
-    match Proc_set.predecessor_in s.group s.self ~n:s.n with
-    | Some pred when Proc_id.equal pred s.self ->
-      { s with fd = FD.suspend s.fd }
-    | Some pred when Proc_id.equal pred from || FD.expected s.fd = None ->
-      { s with fd = FD.expect s.fd ~sender:pred ~base:ts }
-    | Some _ | None -> s
-  end
-  else begin
+  else
     match Proc_set.successor_in s.group from ~n:s.n with
     | Some next when Proc_id.equal next s.self ->
       { s with fd = FD.suspend s.fd }
     | Some next -> { s with fd = FD.expect s.fd ~sender:next ~base:ts }
     | None -> s
-  end
 
 let current_suspect s =
   match s.creator with
@@ -751,9 +653,6 @@ let on_decision s ~clock ~src (d : C.decision) =
   let s, adopt_effects, excluded =
     if adopt then adopt_decision s ~clock ~d else (s, [], false)
   in
-  (* under gossip, a directly received decision is queued so our own
-     probes forward it onward (no-op under all-to-all) *)
-  let s = if adopt then fst (gossip_enqueue s d) else s in
   (* delayed join switch bookkeeping while in n-failure *)
   let s, all_heard =
     match CS.kind_of s.creator with
@@ -926,42 +825,6 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
       @ sync_expect_timer s )
   end
 
-(* ------------------------------------------------------------------ *)
-(* gossip probes                                                       *)
-
-(* A gossiped decision is a delayed copy: adopt it (merge the oal,
-   learn ordinals, install any newer view, recover losses, deliver) but
-   never run the decider FSM or rotate the decider off it — rotation is
-   driven solely by the direct decision send to the ring successor, and
-   a gossiped copy's timestamp is stale by up to the gossip spreading
-   time, so treating it as a ring event would wreck surveillance
-   deadlines. [gossip_enqueue] doubles as the dedup: a copy at or below
-   the rank this process already processed is dropped. *)
-let on_gossip s ~clock ~src (g : C.gossip) =
-  (* the generic admission path recorded freshness and the piggybacked
-     alive-list; a probe from the watched predecessor re-arms the
-     surveillance *)
-  let s = realign_surveillance s ~from:src ~ts:g.C.g_ts in
-  let adoptable s = member_of_current_group s && CS.up_to_date s.creator in
-  let s, effects =
-    List.fold_left
-      (fun (s, effs) (d : C.decision) ->
-        let s, fresh = gossip_enqueue s d in
-        if not (fresh && adoptable s) then (s, effs)
-        else begin
-          let s, adopt_effects, excluded = adopt_decision s ~clock ~d in
-          if not excluded then (s, effs @ adopt_effects)
-          else begin
-            (* a gossiped later view that drops us is as authoritative
-               as a direct one: leave the group and rejoin *)
-            let s, join_effects = enter_join s in
-            (s, effs @ adopt_effects @ join_effects)
-          end
-        end)
-      (s, []) g.C.g_decisions
-  in
-  (s, effects @ sync_expect_timer s)
-
 (* Lifeguard local health: a timer that fires well past its due time is
    evidence that this process itself is running slowly. No-op unless
    adaptive suspicion is on. *)
@@ -972,71 +835,6 @@ let note_if_late s ~clock ~due =
          > 0 ->
     { s with fd = FD.note_late_evidence s.fd ~now:clock }
   | Some _ | None -> s
-
-(* One probe round: drain the piggyback budget, send to the ring
-   successor plus the rotating fanout targets, and keep the timer
-   armed. Runs only under gossip dissemination (the timer is never set
-   otherwise). Probes carry our alive-list, so they feed the
-   successor's surveillance of us and everyone's alive-windows — the
-   role the all-to-all decision broadcast plays in the paper. *)
-let on_gossip_timer s ~clock =
-  match (params s).Params.dissemination with
-  | Dissemination.All_to_all -> (s, [])
-  | Dissemination.Gossip { fanout; piggyback_budget; probe_period; _ } ->
-    (* init armed the probe timer, so [gossip_due] is set *)
-    let s = note_if_late s ~clock ~due:(Some s.gossip_due) in
-    let due = Time.add clock probe_period in
-    let s = { s with gossip_due = due } in
-    let rearm = Engine.Set_timer { key = timer_gossip; at_clock = due } in
-    if not (member_of_current_group s && CS.up_to_date s.creator) then
-      (s, [ rearm ])
-    else begin
-      let targets =
-        Dissemination.probe_targets ~group:s.group ~self:s.self ~n:s.n
-          ~fanout ~round:s.gossip_round
-      in
-      if targets = [] then (s, [ rearm ])
-      else begin
-        let decisions, gossip_q =
-          Dissemination.Queue.drain s.gossip_q ~budget:piggyback_budget
-        in
-        let msg =
-          C.Gossip
-            {
-              g_ts = clock;
-              g_alive = FD.alive_list s.fd ~now:clock;
-              g_decisions = decisions;
-            }
-        in
-        let s =
-          {
-            s with
-            gossip_q;
-            gossip_round = s.gossip_round + 1;
-            fd = FD.note_sent s.fd ~ts:clock;
-          }
-        in
-        (* self-heal: if surveillance went idle (e.g. the predecessor
-           watch was suspended after a view change), re-arm it on the
-           current predecessor, skipping a member we already suspect *)
-        let s =
-          if FD.expected s.fd <> None then s
-          else begin
-            let watchable =
-              match current_suspect s with
-              | Some q -> Proc_set.remove q s.group
-              | None -> s.group
-            in
-            match Proc_set.predecessor_in watchable s.self ~n:s.n with
-            | Some pred when not (Proc_id.equal pred s.self) ->
-              { s with fd = FD.expect s.fd ~sender:pred ~base:clock }
-            | Some _ | None -> s
-          end
-        in
-        let sends = List.map (fun p -> Engine.Send (p, msg)) targets in
-        (s, (rearm :: sends) @ sync_expect_timer s)
-      end
-    end
 
 (* ------------------------------------------------------------------ *)
 (* slotted protocols: join and reconfiguration                         *)
@@ -1213,26 +1011,14 @@ let on_expect_timeout s ~clock =
     let s, directives, transition_effects =
       run_fsm s ~clock (GC.Fd_timeout { suspect; since })
     in
-    (* unless the FSM suspended the ring, keep watching: under
-       all-to-all the suspect's successor must now produce a control
-       message; under gossip we fall back to the closest live
-       predecessor short of the suspect *)
+    (* unless the FSM suspended the ring, keep watching: the suspect's
+       successor must now produce a control message *)
     let s =
       if not (CS.up_to_date s.creator) then s
-      else if gossip_mode s then begin
-        match
-          Proc_set.predecessor_in (Proc_set.remove suspect s.group) s.self
-            ~n:s.n
-        with
-        | Some pred when not (Proc_id.equal pred s.self) ->
-          { s with fd = FD.expect s.fd ~sender:pred ~base:clock }
-        | Some _ | None -> { s with fd = FD.suspend s.fd }
-      end
-      else begin
+      else
         match Proc_set.successor_in s.group suspect ~n:s.n with
         | Some next -> { s with fd = FD.expect s.fd ~sender:next ~base:clock }
         | None -> s
-      end
     in
     let s, directive_effects = run_directives s ~clock directives in
     ( s,
@@ -1275,36 +1061,19 @@ let init cfg ~self ~n ~clock ~incarnation:_ =
       peer_views = Pmap.empty;
       alive_views = Pmap.empty;
       pending_new_group = None;
-      gossip_q = Dissemination.Queue.empty;
-      gossip_round = 0;
-      gossip_due = Time.zero;
     }
   in
-  (* under gossip dissemination the probe timer runs from boot; the
-     handler is a no-op until this process is a live group member *)
-  let s, gossip_effects =
-    match Params.gossip_probe_period cfg.params with
-    | Some period ->
-      let due = Time.add clock period in
-      ( { s with gossip_due = due },
-        [ Engine.Set_timer { key = timer_gossip; at_clock = due } ] )
-    | None -> (s, [])
-  in
   (* act in the current slot if it is ours, and arm the next one *)
-  if Proc_id.equal (Slots.owner_at cfg.params clock) self then begin
-    let s, effects = on_slot s ~clock in
-    (s, gossip_effects @ effects)
-  end
+  if Proc_id.equal (Slots.owner_at cfg.params clock) self then on_slot s ~clock
   else
     ( s,
-      gossip_effects
-      @ [
-          Engine.Set_timer
-            {
-              key = timer_slot;
-              at_clock = Slots.next_own_slot cfg.params ~self ~now:clock;
-            };
-        ] )
+      [
+        Engine.Set_timer
+          {
+            key = timer_slot;
+            at_clock = Slots.next_own_slot cfg.params ~self ~now:clock;
+          };
+      ] )
 
 let on_receive s ~clock ~src msg =
   match msg with
@@ -1319,19 +1088,11 @@ let on_receive s ~clock ~src msg =
         (fun p -> Engine.Send (src, C.Retransmit p))
         (Core.retransmits s.core missing) )
   | C.State_transfer st -> on_state_transfer s ~clock ~src st
-  | C.Decision _ | C.No_decision _ | C.Join_msg _ | C.Reconfig _
-  | C.Gossip _ -> (
+  | C.Decision _ | C.No_decision _ | C.Join_msg _ | C.Reconfig _ -> (
     match C.control_ts msg with
     | None -> (s, [])
     | Some ts -> (
-      (* probes order only against other probes: a probe stamped after a
-         still-in-flight decision must not get that decision rejected as
-         stale (the admit_probe doc has the full story) *)
-      let fd, verdict =
-        match msg with
-        | C.Gossip _ -> FD.admit_probe s.fd ~from:src ~ts ~now:clock
-        | _ -> FD.admit s.fd ~from:src ~ts ~now:clock
-      in
+      let fd, verdict = FD.admit s.fd ~from:src ~ts ~now:clock in
       match verdict with
       | FD.Late ->
         (* keep the detector: a late rejection is local-health evidence
@@ -1355,7 +1116,6 @@ let on_receive s ~clock ~src msg =
         | C.No_decision nd -> on_no_decision s ~clock ~src nd
         | C.Join_msg j -> on_join_msg s ~src j
         | C.Reconfig r -> on_reconfig s ~clock ~src r
-        | C.Gossip g -> on_gossip s ~clock ~src g
         | C.Submit _ | C.Proposal_msg _ | C.Retransmit _ | C.Nack _
         | C.State_transfer _ ->
           (s, []))))
@@ -1363,7 +1123,6 @@ let on_receive s ~clock ~src msg =
 let on_timer s ~clock ~key =
   if key = timer_slot then on_slot s ~clock
   else if key = timer_expect then on_expect_timeout s ~clock
-  else if key = timer_gossip then on_gossip_timer s ~clock
   else if key = timer_decide then begin
     if s.decider && CS.kind_of s.creator = CS.KFailure_free then
       send_decision s ~clock

@@ -10,16 +10,13 @@ type t = {
   timed_delay : Time.t;
   eager_decisions : bool;
   single_failure_election : bool;
-  dissemination : Broadcast.Dissemination.policy;
   adaptive_suspicion : bool;
 }
 
 let make ?(delta = Time.of_ms 10) ?(sigma = Time.of_ms 1)
     ?(epsilon = Time.of_ms 2) ?(d = Time.of_ms 30) ?slot_len
     ?(timed_delay = Time.of_ms 200) ?(eager_decisions = false)
-    ?(single_failure_election = true)
-    ?(dissemination = Broadcast.Dissemination.All_to_all)
-    ?(adaptive_suspicion = false) ~n () =
+    ?(single_failure_election = true) ?(adaptive_suspicion = false) ~n () =
   let slot_len =
     match slot_len with Some s -> s | None -> Time.add d delta
   in
@@ -30,29 +27,13 @@ let make ?(delta = Time.of_ms 10) ?(sigma = Time.of_ms 1)
     invalid_arg "Params.make: d must be positive";
   if Time.compare slot_len (Time.add d delta) < 0 then
     invalid_arg "Params.make: slot_len must be at least d + delta";
-  (match Broadcast.Dissemination.validate dissemination with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Params.make: " ^ msg));
   {
     n; delta; sigma; epsilon; d; slot_len; timed_delay; eager_decisions;
-    single_failure_election; dissemination; adaptive_suspicion;
+    single_failure_election; adaptive_suspicion;
   }
 
 let cycle t = Time.mul t.slot_len t.n
 let fd_timeout t = Time.mul t.d 2
-
-let gossip_probe_period t =
-  match t.dissemination with
-  | Broadcast.Dissemination.Gossip { probe_period; _ } -> Some probe_period
-  | Broadcast.Dissemination.All_to_all -> None
-
-let suspicion_timeout t =
-  match t.dissemination with
-  | Broadcast.Dissemination.All_to_all -> fd_timeout t
-  | Broadcast.Dissemination.Gossip { probe_period; _ } ->
-    (* probes arrive every [probe_period]; a deadline below two periods
-       would suspect on a single sched hiccup of the watched sender *)
-    Time.max (fd_timeout t) (Time.mul probe_period 2)
 let alive_window t = Time.mul t.slot_len t.n
 let late_bound t = Time.add t.delta (Time.add t.epsilon t.sigma)
 let majority t = (t.n / 2) + 1

@@ -34,11 +34,6 @@ type t = private {
       (** the paper's fast path: the no-decision ring for single
           failures. Disabling it (ablation A3) routes every suspicion
           through the slotted reconfiguration election *)
-  dissemination : Broadcast.Dissemination.policy;
-      (** how steady-state decisions reach the group: [All_to_all] is
-          the paper's broadcast (the default, byte-identical to the
-          pre-pluggable code); [Gossip] piggybacks them on periodic
-          probes for large N *)
   adaptive_suspicion : bool;
       (** Lifeguard-style local health: late-message and late-timer
           evidence at a member stretches that member's own suspicion
@@ -54,33 +49,23 @@ val make :
   ?timed_delay:Time.t ->
   ?eager_decisions:bool ->
   ?single_failure_election:bool ->
-  ?dissemination:Broadcast.Dissemination.policy ->
   ?adaptive_suspicion:bool ->
   n:int ->
   unit ->
   t
 (** Defaults: delta = 10ms, sigma = 1ms, epsilon = 2ms, d = 30ms,
     slot_len = d + delta, timed_delay = 200ms, eager_decisions = false,
-    single_failure_election = true, dissemination = All_to_all,
-    adaptive_suspicion = false. Raises [Invalid_argument] when
-    [n < 2], [slot_len < d + delta], any bound is non-positive, or the
-    dissemination policy fails {!Broadcast.Dissemination.validate}. *)
+    single_failure_election = true, adaptive_suspicion = false.
+    Raises [Invalid_argument] when [n < 2], [slot_len < d + delta], or
+    [delta] or [d] is non-positive. *)
 
 val cycle : t -> Time.t
 (** [n * slot_len]: the length of one cycle of the slotted time base. *)
 
 val fd_timeout : t -> Time.t
-(** [2 * d]: the failure detector's surveillance deadline increment. *)
-
-val suspicion_timeout : t -> Time.t
-(** Base surveillance deadline increment under the configured
-    dissemination policy: {!fd_timeout} for all-to-all; under gossip at
-    least two probe periods, since surveillance is then fed by probes
-    rather than by every decision. The failure detector scales this by
-    the local-health multiplier when [adaptive_suspicion] is set. *)
-
-val gossip_probe_period : t -> Time.t option
-(** The gossip probe period, when dissemination is [Gossip]. *)
+(** [2 * d]: the failure detector's surveillance deadline increment.
+    The failure detector scales it by the local-health multiplier when
+    [adaptive_suspicion] is set. *)
 
 val alive_window : t -> Time.t
 (** [n * slot_len]: a process is on the alive-list when heard from

@@ -1,13 +1,8 @@
 open Tasim
 open Timewheel
 
-type mode = All_to_all | Gossip
-
-let mode_name = function All_to_all -> "all-to-all" | Gossip -> "gossip"
-
 type result = {
   n : int;
-  mode : mode;
   formed : bool;
   form_sim_seconds : float;
   form_wall_seconds : float;
@@ -28,15 +23,8 @@ let total counters prefix =
       else acc)
     0 counters
 
-let params ~n ~mode =
-  match mode with
-  | All_to_all -> Params.make ~n ()
-  | Gossip ->
-    Params.make ~n ~dissemination:Broadcast.Dissemination.default_gossip
-      ~adaptive_suspicion:true ()
-
-let run ?(n = 256) ?(seconds = 3) ?(seed = 42) ?(mode = Gossip) () =
-  let params = params ~n ~mode in
+let run ?(n = 256) ?(seconds = 3) ?(seed = 42) () =
+  let params = Params.make ~n () in
   let svc = Run.service ~seed ~params ~n () in
   (* the run is faultless, so every suspicion observed is a false one *)
   let suspicions = ref 0 in
@@ -51,7 +39,6 @@ let run ?(n = 256) ?(seconds = 3) ?(seed = 42) ?(mode = Gossip) () =
   if not formed then
     {
       n;
-      mode;
       formed;
       form_sim_seconds = form_sim;
       form_wall_seconds = form_wall;
@@ -75,7 +62,6 @@ let run ?(n = 256) ?(seconds = 3) ?(seed = 42) ?(mode = Gossip) () =
     let events = sends + receives in
     {
       n;
-      mode;
       formed;
       form_sim_seconds = form_sim;
       form_wall_seconds = form_wall;

@@ -1,25 +1,19 @@
-(** M3 macrobenchmark: membership past the ring — N=256/1024.
+(** M3 macrobenchmark: membership at N=64/256.
 
-    Forms an [n]-member group under either dissemination policy and
-    runs [seconds] of faultless steady state. The quantity of interest
-    is the per-member receive rate: under [All_to_all] every decision
-    reaches every member directly, so each member's inbound datagram
-    rate grows linearly with [n]; under [Gossip] decisions ride the
-    probe traffic, whose per-member rate is fixed by the probe period
-    and fanout, so the receive rate should stay roughly flat as [n]
-    grows.
+    Forms an [n]-member group and runs [seconds] of faultless steady
+    state. The quantity of interest is the per-member receive rate.
+    Every decision reaches every member directly, but only one decision
+    is in flight at a time: the decider role rotates one member per
+    decision. Each member therefore receives about one decision per
+    rotation step (D plus one network delay), and its receive rate
+    stays flat as [n] grows; only the decider's send burst of [n - 1]
+    frames grows with [n].
 
-    Gossip runs enable adaptive (Lifeguard-style) suspicion; the run is
-    faultless, so every suspicion observed is a false positive and is
-    counted as such. *)
-
-type mode = All_to_all | Gossip
-
-val mode_name : mode -> string
+    The run is faultless, so every suspicion observed is a false
+    positive and is counted as such. *)
 
 type result = {
   n : int;
-  mode : mode;
   formed : bool;  (** the full [n]-member view was agreed *)
   form_sim_seconds : float;
   form_wall_seconds : float;
@@ -27,7 +21,7 @@ type result = {
   wall_seconds : float;
   receives : int;  (** datagrams delivered during the window *)
   receives_per_member_per_sec : float;
-      (** [receives / n / sim_seconds] — the sublinearity probe *)
+      (** [receives / n / sim_seconds] — the flatness probe *)
   false_suspicions : int;
       (** suspicion observations over the whole run (faultless, so all
           false) *)
@@ -35,8 +29,7 @@ type result = {
   events_per_sec : float;
 }
 
-val run :
-  ?n:int -> ?seconds:int -> ?seed:int -> ?mode:mode -> unit -> result
-(** Defaults: [n = 256], [seconds = 3], [seed = 42], [mode = Gossip].
-    When the group fails to form within {!Run.settle}'s bound, returns
-    with [formed = false] instead of raising. *)
+val run : ?n:int -> ?seconds:int -> ?seed:int -> unit -> result
+(** Defaults: [n = 256], [seconds = 3], [seed = 42]. When the group
+    fails to form within {!Run.settle}'s bound, returns with
+    [formed = false] instead of raising. *)

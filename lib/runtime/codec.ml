@@ -381,20 +381,6 @@ let w_update_info_list w us =
   Wire.int w (List.length us);
   w_update_info_items w us
 
-let rec w_decision_items w = function
-  | [] -> ()
-  | { Control_msg.d_ts; d_oal; d_alive } :: rest ->
-    w_time w d_ts;
-    w_oal w d_oal;
-    w_proc_set w d_alive;
-    w_decision_items w rest
-
-let r_decision_body r =
-  let d_ts = r_time r in
-  let d_oal = r_oal r in
-  let d_alive = r_proc_set r in
-  { Control_msg.d_ts; d_oal; d_alive }
-
 let w_control pc w (m : _ Control_msg.t) =
   match m with
   | Control_msg.Submit { semantics; payload } ->
@@ -446,12 +432,6 @@ let w_control pc w (m : _ Control_msg.t) =
     w_oal w st_oal;
     pc.write_app w st_app;
     w_buffers pc w st_buffers
-  | Gossip { g_ts; g_alive; g_decisions } ->
-    Wire.byte w 9;
-    w_time w g_ts;
-    w_proc_set w g_alive;
-    Wire.int w (List.length g_decisions);
-    w_decision_items w g_decisions
 
 let r_control pc r : _ Control_msg.t =
   match Wire.r_byte r with
@@ -497,11 +477,8 @@ let r_control pc r : _ Control_msg.t =
     let st_app = pc.read_app r in
     let st_buffers = r_buffers pc r in
     State_transfer { st_ts; st_group; st_group_id; st_oal; st_app; st_buffers }
-  | 9 ->
-    let g_ts = r_time r in
-    let g_alive = r_proc_set r in
-    let g_decisions = Wire.r_list r_decision_body r in
-    Gossip { g_ts; g_alive; g_decisions }
+  (* tag 9 stays unassigned: a frame from an older build that still
+     sends it must be refused as a bad tag, not read as another kind *)
   | b -> Wire.fail (Printf.sprintf "bad control tag %d" b)
 
 let w_cs w (m : Clocksync.Protocol.msg) =

@@ -1091,6 +1091,49 @@ let test_protocol_stability_reported () =
   Engine.run engine ~until:(Time.of_sec 2);
   check Alcotest.bool "stability observed at every member" true (!stable >= n)
 
+(* The decision message is the one path by which the oal and the
+   decider role travel: each decision is addressed to every other
+   member, never point-to-point, so the successor that takes the role
+   next hears it, and the role walks the whole ring. *)
+let test_decision_reaches_every_member () =
+  let n = 4 in
+  let engine =
+    Engine.create { Engine.default_config with Engine.seed = 81 } ~n
+  in
+  let addressed = Array.make_matrix n n 0 in
+  Net.add_filter (Engine.net engine) ~name:"count decisions"
+    (fun ~src ~dst msg ->
+      (match msg with
+      | Protocol.Decision _ ->
+        let s = Proc_id.to_int src and d = Proc_id.to_int dst in
+        addressed.(s).(d) <- addressed.(s).(d) + 1
+      | _ -> ());
+      false);
+  let became = Array.make n 0 in
+  Engine.on_observe engine (fun _at proc obs ->
+      match obs with
+      | Protocol.Became_decider ->
+        let i = Proc_id.to_int proc in
+        became.(i) <- became.(i) + 1
+      | _ -> ());
+  let automaton = Protocol.automaton Protocol.default_config in
+  List.iter
+    (fun id -> Engine.add_process engine id automaton ~clock:Engine.ideal_clock ())
+    (Proc_id.all ~n);
+  Engine.inject_at engine (Time.of_ms 100) (pid 1)
+    (Protocol.Submit { semantics = Semantics.total_strong; payload = 0 });
+  Engine.run engine ~until:(Time.of_sec 1);
+  for s = 0 to n - 1 do
+    let sent = addressed.(s).((s + 1) mod n) in
+    check Alcotest.bool (Fmt.str "p%d decided" s) true (sent > 0);
+    for d = 0 to n - 1 do
+      if d <> s then
+        check Alcotest.int (Fmt.str "p%d's decisions reach p%d" s d) sent
+          addressed.(s).(d)
+    done;
+    check Alcotest.bool (Fmt.str "p%d took the role" s) true (became.(s) > 0)
+  done
+
 (* property: under random proposal loss, every seed still reaches
    total-order agreement at all members (the nack machinery always
    recovers), and FIFO per sender holds *)
@@ -1228,116 +1271,6 @@ let test_core_receive_refusals () =
        | Some e -> Proc_set.mem (pid 0) e.Oal.acks
        | None -> false);
     check Alcotest.bool "duplicate" true (refused t p)
-
-(* ------------------------------------------------------------------ *)
-(* Dissemination: the epoch-aware piggyback queue and probe targets *)
-
-module Q = Dissemination.Queue
-
-let test_queue_push_drain () =
-  let q, fresh = Q.push Q.empty ~epoch:0 ~stamp:1 ~forwards:2 "a" in
-  check Alcotest.bool "first push fresh" true fresh;
-  let q, fresh = Q.push q ~epoch:0 ~stamp:1 ~forwards:2 "a-dup" in
-  check Alcotest.bool "equal rank stale" false fresh;
-  let q, fresh = Q.push q ~epoch:0 ~stamp:3 ~forwards:2 "b" in
-  check Alcotest.bool "higher stamp fresh" true fresh;
-  check Alcotest.int "two queued" 2 (Q.length q);
-  let items, q = Q.drain q ~budget:1 in
-  check (Alcotest.list Alcotest.string) "highest rank first" [ "b" ] items;
-  let items, q = Q.drain q ~budget:5 in
-  (* second drain: both items again ("b" has one forward left) *)
-  check (Alcotest.list Alcotest.string) "budget covers both" [ "b"; "a" ] items;
-  let items, q = Q.drain q ~budget:5 in
-  (* "b" rode 2 drains, "a" rode 2: both exhausted except "a" joined late *)
-  check (Alcotest.list Alcotest.string) "forwards exhausted" [ "a" ] items;
-  check Alcotest.bool "queue drains dry" true (Q.is_empty (snd (Q.drain q ~budget:5)));
-  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "high-water survives draining" (Some (0, 3)) (Q.seen q)
-
-let test_queue_epoch_invalidation () =
-  let q, _ = Q.push Q.empty ~epoch:1 ~stamp:9 ~forwards:3 "old" in
-  let q, fresh = Q.push q ~epoch:2 ~stamp:0 ~forwards:3 "new" in
-  check Alcotest.bool "higher epoch fresh despite lower stamp" true fresh;
-  check Alcotest.int "lower-epoch item dropped" 1 (Q.length q);
-  let items, q = Q.drain q ~budget:4 in
-  check (Alcotest.list Alcotest.string) "only the new epoch rides" [ "new" ] items;
-  let q, fresh = Q.push q ~epoch:1 ~stamp:50 ~forwards:3 "stale-epoch" in
-  check Alcotest.bool "lower epoch never re-accepted" false fresh;
-  check Alcotest.int "still just the new item" 1 (Q.length q)
-
-(* property: drains respect the budget, return items in descending
-   rank, and never yield a lower epoch after a higher epoch has been
-   drained (the queue is single-epoch once invalidation runs) *)
-let prop_queue_budget_and_epoch_monotone =
-  QCheck.Test.make ~count:200
-    ~name:"dissemination queue: budget respected, epochs monotone"
-    QCheck.(pair (int_range 0 100_000) (int_range 1 60))
-    (fun (seed, steps) ->
-      let rng = Rng.create seed in
-      let q = ref Q.empty in
-      let top_epoch = ref (-1) in
-      let ok = ref true in
-      for _ = 1 to steps do
-        if Rng.bool rng 0.6 then begin
-          let epoch = Rng.int rng 4 and stamp = Rng.int rng 50 in
-          let q', fresh =
-            Q.push !q ~epoch ~stamp ~forwards:(1 + Rng.int rng 3) (epoch, stamp)
-          in
-          (* freshness must agree with the advertised high-water mark *)
-          (match Q.seen !q with
-          | Some hw -> if fresh <> (compare (epoch, stamp) hw > 0) then ok := false
-          | None -> if not fresh then ok := false);
-          q := q'
-        end
-        else begin
-          let budget = 1 + Rng.int rng 5 in
-          let items, q' = Q.drain !q ~budget in
-          q := q';
-          if List.length items > budget then ok := false;
-          if List.sort (fun a b -> compare b a) items <> items then ok := false;
-          List.iter
-            (fun (e, _) ->
-              if e < !top_epoch then ok := false
-              else if e > !top_epoch then top_epoch := e)
-            items
-        end
-      done;
-      !ok)
-
-let test_probe_targets () =
-  let group = set_of [ 0; 1; 2; 3; 4 ] in
-  let targets r =
-    Dissemination.probe_targets ~group ~self:(pid 1) ~n:5 ~fanout:2 ~round:r
-  in
-  (* the ring successor leads every round: it feeds the member whose
-     surveillance watches us *)
-  List.iter
-    (fun r ->
-      match targets r with
-      | succ :: rest ->
-        check Alcotest.int (Fmt.str "round %d: successor first" r) 2
-          (Proc_id.to_int succ);
-        check Alcotest.bool "fanout bound" true (List.length rest <= 1);
-        List.iter
-          (fun t ->
-            check Alcotest.bool "target in group, not self" true
-              (Proc_set.mem t group && not (Proc_id.equal t (pid 1))))
-          rest
-      | [] -> Alcotest.fail "no targets in a 5-member group")
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-  (* over consecutive rounds every other member is probed *)
-  let probed =
-    List.fold_left
-      (fun acc r -> List.fold_left (fun acc t -> Proc_set.add t acc) acc (targets r))
-      Proc_set.empty [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-  in
-  check Alcotest.int "rotation covers the group" 4 (Proc_set.cardinal probed);
-  check
-    (Alcotest.list Alcotest.int)
-    "lone member probes no one" []
-    (List.map Proc_id.to_int
-       (Dissemination.probe_targets ~group:(set_of [ 1 ]) ~self:(pid 1) ~n:5
-          ~fanout:2 ~round:0))
 
 (* ------------------------------------------------------------------ *)
 (* Delivery frontiers against the round-based reference *)
@@ -2176,12 +2109,9 @@ let () =
           Alcotest.test_case "refused receipts" `Quick test_core_receive_refusals;
           qcheck prop_core_overlay_matches_reference;
         ] );
-      ( "dissemination",
+      ( "decision path",
         [
-          Alcotest.test_case "queue push/drain" `Quick test_queue_push_drain;
-          Alcotest.test_case "queue epoch invalidation" `Quick
-            test_queue_epoch_invalidation;
-          qcheck prop_queue_budget_and_epoch_monotone;
-          Alcotest.test_case "probe targets" `Quick test_probe_targets;
+          Alcotest.test_case "every member hears every decision" `Quick
+            test_decision_reaches_every_member;
         ] );
     ]

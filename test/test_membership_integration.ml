@@ -505,11 +505,10 @@ let test_service_determinism () =
   check Alcotest.bool "different seed, different timing" true
     (history 123 <> history 124)
 
-(* the dissemination layer's default must be the paper's broadcast,
-   bit for bit: a run with the implicit defaults and one with explicit
-   [All_to_all] + adaptive suspicion off must produce identical view
-   histories and identical wire counters, seed by seed, including
-   through a crash/recover cycle *)
+(* the defaults must be the paper's protocol, bit for bit: a run with
+   the implicit defaults and one with adaptive suspicion explicitly off
+   must produce identical view histories and identical wire counters,
+   seed by seed, including through a crash/recover cycle *)
 let prop_explicit_all_to_all_equals_default =
   QCheck.Test.make ~count:10
     ~name:"explicit all-to-all run == default-params run"
@@ -533,10 +532,7 @@ let prop_explicit_all_to_all_equals_default =
         in
         (views, Harness.Run.counters_snapshot svc)
       in
-      let explicit =
-        Params.make ~n:5 ~dissemination:Dissemination.All_to_all
-          ~adaptive_suspicion:false ()
-      in
+      let explicit = Params.make ~n:5 ~adaptive_suspicion:false () in
       trace None = trace (Some explicit))
 
 (* ------------------------------------------------------------------ *)

@@ -200,10 +200,8 @@ let test_fd_forget () =
   check Alcotest.bool "forgotten" false
     (Proc_set.mem (pid 1) (FD.alive_list fd ~now:(Time.of_ms 110)))
 
-(* Ring control messages and gossip probes keep separate freshness
-   floors: neither channel's newest timestamp makes the other's older
-   message stale, yet both feed the alive-list and both reject late
-   messages. *)
+(* One freshness floor per sender: a duplicate is stale, a sender heard
+   once is alive, and a message past late_bound is late. *)
 let test_fd_freshness_floors () =
   let ms = Time.of_ms in
   let verdict =
@@ -217,45 +215,28 @@ let test_fd_freshness_floors () =
       ( = )
   in
   let fd = fd5 () in
-  (* a newer probe, then an older-stamped ring message *)
-  let fd, v = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 112) in
-  check verdict "probe fresh" FD.Fresh v;
-  let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 105) ~now:(ms 112) in
-  check verdict "older ring message still fresh" FD.Fresh v;
-  (* the reverse: a newer ring message, then an older-stamped probe *)
-  let fd, v = FD.admit fd ~from:(pid 2) ~ts:(ms 110) ~now:(ms 112) in
-  check verdict "ring message fresh" FD.Fresh v;
-  let fd, v = FD.admit_probe fd ~from:(pid 2) ~ts:(ms 105) ~now:(ms 112) in
-  check verdict "older probe still fresh" FD.Fresh v;
-  (* a duplicate is stale on either channel *)
-  let fd, v = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 113) in
-  check verdict "duplicate probe" FD.Stale v;
+  let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 112) in
+  check verdict "first message fresh" FD.Fresh v;
+  let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 110) ~now:(ms 113) in
+  check verdict "duplicate" FD.Stale v;
   let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 105) ~now:(ms 113) in
-  check verdict "duplicate ring message" FD.Stale v;
-  let fd, v = FD.admit fd ~from:(pid 2) ~ts:(ms 110) ~now:(ms 113) in
-  check verdict "duplicate ring message (2)" FD.Stale v;
-  let fd, v = FD.admit_probe fd ~from:(pid 2) ~ts:(ms 105) ~now:(ms 113) in
-  check verdict "duplicate probe (2)" FD.Stale v;
-  (* senders heard on one channel only are alive too *)
-  let fd, _ = FD.admit_probe fd ~from:(pid 3) ~ts:(ms 110) ~now:(ms 112) in
-  let fd, _ = FD.admit fd ~from:(pid 4) ~ts:(ms 110) ~now:(ms 112) in
-  check Alcotest.(list int) "alive from both channels" [ 0; 1; 2; 3; 4 ]
+  check verdict "older message" FD.Stale v;
+  let fd, _ = FD.admit fd ~from:(pid 3) ~ts:(ms 110) ~now:(ms 112) in
+  check Alcotest.(list int) "heard once, alive" [ 0; 1; 3 ]
     (List.map Proc_id.to_int
        (Proc_set.to_list (FD.alive_list fd ~now:(ms 150))));
-  (* past late_bound (13 ms) both channels say late; only adaptive
+  (* past late_bound (13 ms) the verdict is late; only adaptive
      suspicion turns that into local-health evidence *)
   let late fd =
-    let fd, v1 = FD.admit fd ~from:(pid 1) ~ts:(ms 200) ~now:(ms 250) in
-    let fd, v2 = FD.admit_probe fd ~from:(pid 1) ~ts:(ms 200) ~now:(ms 250) in
-    check verdict "late ring message" FD.Late v1;
-    check verdict "late probe" FD.Late v2;
+    let fd, v = FD.admit fd ~from:(pid 1) ~ts:(ms 200) ~now:(ms 250) in
+    check verdict "late message" FD.Late v;
     FD.health fd
   in
   check Alcotest.int "no health change by default" 0 (late fd);
   let adaptive =
     FD.create (Params.make ~n:5 ~adaptive_suspicion:true ()) ~self:(pid 0)
   in
-  check Alcotest.int "adaptive: one step per late message" 2 (late adaptive)
+  check Alcotest.int "adaptive: one step per late message" 1 (late adaptive)
 
 (* ------------------------------------------------------------------ *)
 (* Group creator: every edge of Fig. 2.

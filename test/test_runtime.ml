@@ -412,6 +412,31 @@ let rejects_bad_magic () =
   Bytes.set frame 0 'X';
   check_error "magic" Codec.Bad_magic (Codec.decode pc (Bytes.to_string frame))
 
+(* Control tag 9 is retired and unassigned: a frame carrying it, with a
+   correct header and length, is refused with a typed error. *)
+let rejects_retired_control_tag () =
+  let frame body =
+    let w = Wire.writer () in
+    Wire.byte w (Char.code 'T');
+    Wire.byte w (Char.code 'W');
+    Wire.byte w Codec.version;
+    Wire.int w 1;
+    let mark = Wire.begin_frame w in
+    Wire.byte w 1 (* group communication message *);
+    Wire.byte w 9;
+    body w;
+    Wire.end_frame w mark;
+    Wire.contents w
+  in
+  let expected = Codec.Malformed "bad control tag 9" in
+  check_error "bare tag" expected (Codec.decode pc (frame ignore));
+  check_error "tag with a body" expected
+    (Codec.decode pc
+       (frame (fun w ->
+            Wire.int w 120_000;
+            Wire.int w 0;
+            Wire.int w 0)))
+
 let decode_total =
   QCheck.Test.make ~count:1000 ~name:"decode never raises on junk"
     QCheck.(string_of_size (QCheck.Gen.int_bound 200))
@@ -1218,6 +1243,8 @@ let () =
           Alcotest.test_case "rejects wrong version" `Quick
             rejects_wrong_version;
           Alcotest.test_case "rejects bad magic" `Quick rejects_bad_magic;
+          Alcotest.test_case "rejects retired control tag 9" `Quick
+            rejects_retired_control_tag;
           qcheck decode_total;
           qcheck mutation_total;
         ] );
