@@ -269,6 +269,21 @@ let codec_messages () : (string * Runtime.Live.msg) list =
     Proposal.make ~origin:(pid 1) ~seq ~semantics:Semantics.total_strong
       ~send_ts:(Tasim.Time.of_ms 3) ~hdo:(seq - 1) "bench-payload-0123456789"
   in
+  (* every part of the state-transfer history writer: a hole in p1's
+     seqs and in the ordinals (seq 2, ordinal 2), a stored delivered
+     proposal (seq 3), a pending one (seq 4) and an undated id (p3#0) *)
+  let buffers =
+    let store b p = fst (Buffers.store b p) in
+    let deliver b seq ordinal =
+      Buffers.note_delivered b { Proposal.origin = pid 1; seq } ~ordinal
+    in
+    let b =
+      List.fold_left store Buffers.empty [ prop 0; prop 1; prop 3; prop 4 ]
+    in
+    let b = deliver (deliver (deliver b 0 (Some 0)) 1 (Some 1)) 3 (Some 3) in
+    Buffers.note_delivered (Buffers.compact b ~below:2)
+      { Proposal.origin = pid 3; seq = 0 } ~ordinal:None
+  in
   let upd seq =
     {
       Oal.proposal_id = { Proposal.origin = pid 2; seq };
@@ -339,7 +354,7 @@ let codec_messages () : (string * Runtime.Live.msg) list =
              st_group_id = { Group_id.epoch = 2; seq = 7 };
              st_oal = oal;
              st_app = [ "log-entry-1"; "log-entry-2" ];
-             st_buffers = Buffers.empty;
+             st_buffers = buffers;
            }) );
     ( "cs-request",
       Cs

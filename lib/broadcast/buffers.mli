@@ -5,7 +5,14 @@
     buffer} storing descriptors and ordinals — the latter is the
     member's oal view and lives in {!Oal}; this module owns the
     proposal buffer plus the local delivery and undeliverable-mark
-    bookkeeping of Section 4.3. *)
+    bookkeeping of Section 4.3.
+
+    The delivered history is kept as {!Range_set}s: per origin, the
+    delivered [seq]s, and one set of delivered ordinals. An origin that
+    delivers in [seq] order costs one run however long the group runs;
+    a [seq] that is never delivered (a proposal discarded as
+    undeliverable) costs one more run. Nothing is forgotten, so
+    duplicate suppression sees every delivered id. *)
 
 open Tasim
 
@@ -60,8 +67,6 @@ val dpd : 'u t -> Proposal.id list
     order — the [dpd] field carried on no-decision and reconfiguration
     messages. *)
 
-val ordinal_of_delivered : 'u t -> Proposal.id -> int option
-
 val compact : 'u t -> below:int -> 'u t
 (** Drop retained payloads of delivered proposals whose ordinal is
     below [below], the oal's purge frontier (they are stable
@@ -90,16 +95,29 @@ val purge_marked : 'u t -> now:Time.t -> 'u t
 
 (** {1 Direct serialization walks}
 
-    Counted folds over the live maps in ascending id order — the same
-    elements and order as the {!wire} lists, without materializing
-    them. The accumulator threading lets an encoder use a statically
-    allocated callback, keeping the state-transfer encode path free of
-    per-frame allocation. *)
+    Counted folds over the live structures — the same elements as the
+    {!wire} fields, without materializing them. Ids and origins come in
+    ascending order. The accumulator threading lets an encoder use a
+    statically allocated callback, keeping the state-transfer encode
+    path free of per-frame allocation. *)
 
 val proposal_count : 'u t -> int
 val fold_proposals : (Proposal.id -> 'u Proposal.t -> 'a -> 'a) -> 'u t -> 'a -> 'a
+
 val delivered_count : 'u t -> int
-val fold_delivered : (Proposal.id -> int option -> 'a -> 'a) -> 'u t -> 'a -> 'a
+(** The number of origins with a delivered proposal. *)
+
+val fold_delivered : (Proc_id.t -> Range_set.t -> 'a -> 'a) -> 'u t -> 'a -> 'a
+(** Each origin with its delivered [seq]s. *)
+
+val delivered_ordinals : 'u t -> Range_set.t
+val undated_count : 'u t -> int
+val fold_undated : (Proposal.id -> 'a -> 'a) -> 'u t -> 'a -> 'a
+
+val dated_count : 'u t -> int
+val fold_dated : (Proposal.id -> int -> 'a -> 'a) -> 'u t -> 'a -> 'a
+(** Each stored delivered proposal whose ordinal is known, with that
+    ordinal. *)
 
 val marks_of : 'u t -> (Proposal.id * Time.t) list
 (** The live marks list (newest first), shared, not copied. *)
@@ -112,14 +130,28 @@ val blocked_of : 'u t -> (Proc_id.t * Time.t) list
 
     Concrete image of the buffers for serialization (state-transfer
     messages cross the live runtime's UDP codec carrying the sender's
-    buffers). [of_wire (to_wire t)] reconstructs [t] exactly. *)
+    buffers). Its size is set by the origins, the holes in the history
+    and the updates in flight, not by the number delivered. Ranges are
+    closed [(lo, hi)] pairs in ascending order. [of_wire (to_wire t)]
+    reconstructs [t] exactly, and [to_wire] of equal buffers is
+    structurally equal. *)
 
 type 'u wire = {
   w_proposals : 'u Proposal.t list;
-  w_delivered : (Proposal.id * int option) list;
+  w_delivered : (Proc_id.t * (int * int) list) list;
+      (** per origin, its delivered [seq]s *)
+  w_ordinals : (int * int) list;  (** the delivered ordinals *)
+  w_undated : Proposal.id list;  (** delivered, ordinal not known yet *)
+  w_dated : (Proposal.id * int) list;
+      (** stored, delivered, with the ordinal it was delivered or dated
+          at *)
   w_marks : (Proposal.id * Time.t) list;
   w_blocked : (Proc_id.t * Time.t) list;
 }
 
 val to_wire : 'u t -> 'u wire
+
 val of_wire : 'u wire -> 'u t
+(** Total: an origin listed twice gets the union of its ranges, and an
+    undated or dated id the image does not show delivered (a dated one
+    also stored and not undated) is dropped. *)

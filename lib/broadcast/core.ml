@@ -84,8 +84,9 @@ let receive t ~now (p : 'u Proposal.t) =
 
 let retransmits t missing = List.filter_map (Buffers.get t.buffers) missing
 
-(* [Oal.ack_all_received] into the overlay: a membership descriptor in
-   the list was received with it, an update when its proposal was *)
+(* The paper's "ack every received descriptor", into the overlay: a
+   membership descriptor in the list was received with it, an update
+   when its proposal was *)
 let view t =
   let own = ref t.own in
   Oal.iter_entries t.oal (fun e ->

@@ -53,8 +53,9 @@ val retransmits : 'u t -> Proposal.id list -> 'u Proposal.t list
 (** The buffered proposals among the ids a NACK asks for. *)
 
 val view : 'u t -> 'u t
-(** Add this process's ack to every descriptor whose proposal it has
-    received: {!Oal.ack_all_received} on the explicit oal, kept in the
+(** Add this process's ack to every descriptor it has received (a
+    membership descriptor with the list, an update with its proposal),
+    as the paper's member does to the explicit oal, kept in the
     overlay. *)
 
 val adopt : 'u t -> Oal.t -> 'u t

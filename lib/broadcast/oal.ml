@@ -181,27 +181,10 @@ let map_changed t f =
   in
   if entries == t.entries then t else { t with entries }
 
-let ack_all_received t ~received ~by =
-  map_changed t (fun e ->
-      let has =
-        match e.body with
-        | Update info -> received info.proposal_id
-        | Membership _ ->
-          (* a membership descriptor present in a process's list was, by
-             construction, received by that process *)
-          true
-      in
-      if has && not (Proc_set.mem by e.acks) then
-        { e with acks = Proc_set.add by e.acks }
-      else e)
-
 let mark_stable t stable =
   map_changed t (fun e ->
       if e.known_stable || not (stable e) then e
       else { e with known_stable = true })
-
-let refresh_stability t ~group =
-  mark_stable t (fun e -> Proc_set.subset group e.acks)
 
 (* one walk over the entries: a fold of per-ordinal updates would copy
    a map path per acked entry *)

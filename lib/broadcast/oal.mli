@@ -103,23 +103,9 @@ val latest_membership : t -> (int * Proc_set.t * Group_id.t) option
 val ack_update : t -> Proposal.id -> Proc_id.t -> t
 (** No-op when the descriptor is absent. *)
 
-val ack_all_received : t -> received:(Proposal.id -> bool) -> by:Proc_id.t -> t
-(** Add [by]'s acknowledgement to every update descriptor whose
-    proposal [by] has received — how a process turns the incoming oal
-    into its own view v_p (paper, Section 4.3). Only the entries that
-    gain the acknowledgement are rebuilt; when none does, the result is
-    the argument itself. *)
-
-val refresh_stability : t -> group:Proc_set.t -> t
-(** Set [known_stable] on every entry acknowledged by all of [group].
-    Membership entries are acked like updates (receipt of the decision
-    message that introduced them). Only the entries that become stable
-    are rebuilt; when none does, the result is the argument itself. *)
-
 val mark_stable : t -> (entry -> bool) -> t
 (** Set [known_stable] on every entry the predicate accepts, rebuilding
-    only those; {!refresh_stability} is [mark_stable] with "acked by all
-    of [group]". *)
+    only those; when none changes, the result is the argument itself. *)
 
 val add_acks : t -> by:Proc_id.t -> (int -> bool) -> t
 (** Add [by]'s acknowledgement to every entry whose ordinal the

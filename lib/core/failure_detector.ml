@@ -61,7 +61,6 @@ let admit t ~from ~ts ~now =
       (decay_health { t with heard = Pmap.add from ts t.heard } ~now, Fresh)
 
 let note_sent t ~ts = { t with heard = Pmap.add t.self ts t.heard }
-let last_heard t p = Pmap.find_opt p t.heard
 
 let heard_after t p ~since =
   match Pmap.find_opt p t.heard with

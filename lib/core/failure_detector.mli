@@ -43,10 +43,6 @@ val note_sent : t -> ts:Time.t -> t
     process never concurs with a suspicion of itself (it knows it
     spoke). *)
 
-val last_heard : t -> Proc_id.t -> Time.t option
-(** Send timestamp of the freshest control message accepted from the
-    process. *)
-
 val heard_after : t -> Proc_id.t -> since:Time.t -> bool
 (** Has a control message with timestamp strictly greater than [since]
     been accepted from the process? Decides concurrence with a

@@ -2,7 +2,7 @@ open Tasim
 open Broadcast
 open Timewheel
 
-let version = 1
+let version = 2
 let max_frame = 65507
 
 type error =
@@ -295,14 +295,27 @@ let fold_w_proposal _id (p : _ Proposal.t) pc =
   w_proposal pc (Domain.DLS.get scratch_key).sc_writer p;
   pc
 
-let fold_w_delivered id ordinal () =
+let fold_w_range lo hi () =
+  let w = (Domain.DLS.get scratch_key).sc_writer in
+  Wire.int w lo;
+  Wire.int w hi
+
+let w_ranges w set =
+  Wire.int w (Range_set.cardinal set);
+  Range_set.fold fold_w_range set ()
+
+let fold_w_delivered origin seqs () =
+  let w = (Domain.DLS.get scratch_key).sc_writer in
+  w_proc w origin;
+  w_ranges w seqs
+
+let fold_w_undated id () =
+  w_proposal_id (Domain.DLS.get scratch_key).sc_writer id
+
+let fold_w_dated id ordinal () =
   let w = (Domain.DLS.get scratch_key).sc_writer in
   w_proposal_id w id;
-  match ordinal with
-  | None -> Wire.byte w 0
-  | Some o ->
-    Wire.byte w 1;
-    Wire.int w o
+  Wire.int w ordinal
 
 let rec w_mark_items w = function
   | [] -> ()
@@ -323,6 +336,11 @@ let w_buffers pc w buffers =
   let (_ : _ payload) = Buffers.fold_proposals fold_w_proposal buffers pc in
   Wire.int w (Buffers.delivered_count buffers);
   Buffers.fold_delivered fold_w_delivered buffers ();
+  w_ranges w (Buffers.delivered_ordinals buffers);
+  Wire.int w (Buffers.undated_count buffers);
+  Buffers.fold_undated fold_w_undated buffers ();
+  Wire.int w (Buffers.dated_count buffers);
+  Buffers.fold_dated fold_w_dated buffers ();
   let marks = Buffers.marks_of buffers in
   Wire.int w (List.length marks);
   w_mark_items w marks;
@@ -330,13 +348,29 @@ let w_buffers pc w buffers =
   Wire.int w (List.length blocked);
   w_blocked_items w blocked
 
+let r_range r =
+  let lo = Wire.r_int r in
+  let hi = Wire.r_int r in
+  if lo > hi then Wire.fail "empty range";
+  (lo, hi)
+
 let r_buffers pc r =
   let w_proposals = Wire.r_list (r_proposal pc) r in
   let w_delivered =
     Wire.r_list
       (fun r ->
+        let origin = r_proc r in
+        let seqs = Wire.r_list r_range r in
+        (origin, seqs))
+      r
+  in
+  let w_ordinals = Wire.r_list r_range r in
+  let w_undated = Wire.r_list r_proposal_id r in
+  let w_dated =
+    Wire.r_list
+      (fun r ->
         let id = r_proposal_id r in
-        let ordinal = Wire.r_option Wire.r_int r in
+        let ordinal = Wire.r_int r in
         (id, ordinal))
       r
   in
@@ -356,7 +390,16 @@ let r_buffers pc r =
         (p, expires))
       r
   in
-  Buffers.of_wire { Buffers.w_proposals; w_delivered; w_marks; w_blocked }
+  Buffers.of_wire
+    {
+      Buffers.w_proposals;
+      w_delivered;
+      w_ordinals;
+      w_undated;
+      w_dated;
+      w_marks;
+      w_blocked;
+    }
 
 (* ---------------------------------------------------------------- *)
 (* Control messages *)

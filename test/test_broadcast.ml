@@ -25,6 +25,34 @@ let proposal ?(sem = Semantics.unordered_weak) ?(ts = Time.of_ms 1) ?(hdo = -1)
   Proposal.make ~origin:(pid origin) ~seq ~semantics:sem ~send_ts:ts ~hdo
     payload
 
+(* The paper's member acknowledges and marks stability by rewriting
+   its whole list; Core does the same through its own-ack overlay and
+   [Oal.add_acks]/[Oal.mark_stable]. These references rewrite every
+   entry, in ascending ordinal order, asking [received] once per update
+   entry. *)
+module Ref_oal = struct
+  let rewrite oal f =
+    let w = Oal.to_wire oal in
+    match Oal.of_wire { w with Oal.w_entries = List.map f w.Oal.w_entries } with
+    | Ok oal -> oal
+    | Error e -> failwith e
+
+  let ack_all_received oal ~received ~by =
+    rewrite oal (fun e ->
+        let has =
+          match e.Oal.body with
+          | Oal.Update info -> received info.Oal.proposal_id
+          | Oal.Membership _ -> true
+        in
+        if has then { e with Oal.acks = Proc_set.add by e.Oal.acks } else e)
+
+  let refresh_stability oal ~group =
+    rewrite oal (fun e ->
+        if Proc_set.subset group e.Oal.acks then
+          { e with Oal.known_stable = true }
+        else e)
+end
+
 (* ------------------------------------------------------------------ *)
 (* Semantics *)
 
@@ -82,7 +110,7 @@ let test_oal_ack_all_received () =
     Oal.append_update oal (info ~origin:2 ~seq:0 ()) ~acks:Proc_set.empty
   in
   let received id = id.Proposal.origin = pid 1 in
-  let oal = Oal.ack_all_received oal ~received ~by:(pid 4) in
+  let oal = Ref_oal.ack_all_received oal ~received ~by:(pid 4) in
   let acked origin =
     match Oal.find_update oal { Proposal.origin = pid origin; seq = 0 } with
     | Some e -> Proc_set.mem (pid 4) e.Oal.acks
@@ -99,7 +127,7 @@ let test_oal_stability_and_purge () =
   let oal, o1 =
     Oal.append_update oal (info ~origin:1 ~seq:0 ()) ~acks:(set_of [ 0 ])
   in
-  let oal = Oal.refresh_stability oal ~group in
+  let oal = Ref_oal.refresh_stability oal ~group in
   let stable o =
     match Oal.entry_at oal o with
     | Some e -> e.Oal.known_stable
@@ -150,8 +178,8 @@ let test_oal_merge_purged_incoming_marks_stable () =
     Oal.append_update incoming (info ~origin:0 ~seq:1 ()) ~acks:Proc_set.empty
   in
   let incoming =
-    Oal.refresh_stability
-      (Oal.ack_all_received incoming ~received:(fun _ -> true) ~by:(pid 0))
+    Ref_oal.refresh_stability
+      (Ref_oal.ack_all_received incoming ~received:(fun _ -> true) ~by:(pid 0))
       ~group:(set_of [ 0 ])
   in
   let incoming = Oal.purge_stable incoming ~delivered:(fun _ -> true) in
@@ -336,7 +364,7 @@ let prop_oal_merge_idempotent =
 let prop_oal_merge_matches_reference =
   let purged oal =
     Oal.purge_stable
-      (Oal.refresh_stability oal ~group:(set_of [ 0; 1 ]))
+      (Ref_oal.refresh_stability oal ~group:(set_of [ 0; 1 ]))
       ~delivered:(fun o -> o mod 3 <> 2)
   in
   QCheck.Test.make ~name:"merge equals the entry-by-entry reference"
@@ -400,40 +428,38 @@ let prop_oal_merge_next_ordinal_monotone =
       && Oal.next_ordinal m >= Oal.next_ordinal b
       && Oal.low m = Oal.low a)
 
-(* ack_all_received and refresh_stability rebuild only the entries
-   they change; the result must equal rewriting every entry *)
+(* add_acks and mark_stable rebuild only the entries they change; the
+   result must equal rewriting every entry *)
 let prop_oal_partial_rewrite =
   QCheck.Test.make ~name:"ack/refresh equal the whole-list rewrite"
     QCheck.(pair arb_oal (int_bound 4))
     (fun (oal, by) ->
       let by = pid by and group = set_of [ 0; 1; 2 ] in
-      let received id = id.Proposal.seq mod 2 = 0 in
+      let acked o = o mod 2 = 0 in
+      let all_of group e = Proc_set.subset group e.Oal.acks in
       let rewrite f = List.map f (Oal.entries oal) in
-      let acked =
+      let with_acks =
         rewrite (fun e ->
-            match e.Oal.body with
-            | Oal.Update info when received info.Oal.proposal_id ->
+            if acked e.Oal.ordinal then
               { e with Oal.acks = Proc_set.add by e.Oal.acks }
-            | Oal.Membership _ ->
-              { e with Oal.acks = Proc_set.add by e.Oal.acks }
-            | Oal.Update _ -> e)
+            else e)
       in
       let stable =
         rewrite (fun e ->
             if e.Oal.known_stable then e
-            else { e with Oal.known_stable = Proc_set.subset group e.Oal.acks })
+            else { e with Oal.known_stable = all_of group e })
       in
-      let once = Oal.ack_all_received oal ~received ~by in
-      Oal.entries once = acked
-      && Oal.entries (Oal.refresh_stability oal ~group) = stable
+      let once = Oal.add_acks oal ~by acked in
+      Oal.entries once = with_acks
+      && Oal.entries (Oal.mark_stable oal (all_of group)) = stable
       (* nothing left to change: the argument comes back itself *)
-      && Oal.ack_all_received once ~received ~by == once
-      && Oal.refresh_stability oal ~group:(Proc_set.full ~n:8) == oal)
+      && Oal.add_acks once ~by acked == once
+      && Oal.mark_stable oal (all_of (Proc_set.full ~n:8)) == oal)
 
 let prop_oal_purge_only_advances =
   QCheck.Test.make ~name:"purge_stable only advances the frontier" arb_oal
     (fun oal ->
-      let oal = Oal.refresh_stability oal ~group:(set_of [ 0; 1 ]) in
+      let oal = Ref_oal.refresh_stability oal ~group:(set_of [ 0; 1 ]) in
       let purged = Oal.purge_stable oal ~delivered:(fun o -> o mod 2 = 0) in
       Oal.low purged >= Oal.low oal
       && Oal.cardinal purged <= Oal.cardinal oal)
@@ -533,8 +559,7 @@ let test_buffers_learn_ordinals_duplicate () =
     Oal.append_update oal (info ~origin:1 ~seq:0 ()) ~acks:Proc_set.empty
   in
   let b = Buffers.learn_ordinals b ~find:(Oal.first_update_ordinal oal) in
-  check Alcotest.(option int) "first entry wins" (Some 1)
-    (Buffers.ordinal_of_delivered b p.Proposal.id);
+  check Alcotest.bool "first entry wins" true (Buffers.delivered_ordinal b 1);
   check Alcotest.int "no longer undated" 0 (List.length (Buffers.dpd b));
   check Alcotest.bool "later entry not counted" false
     (Buffers.delivered_ordinal b 2)
@@ -612,18 +637,10 @@ module Ref_buffers = struct
           t.proposals;
     }
 
-  (* the wire image carries the delivered bindings, not the ordinal
-     set, so an ordinal overwritten by a second note_delivered of the
-     same id does not survive the trip *)
-  let round_trip t =
-    {
-      t with
-      ordinals =
-        Id_map.fold
-          (fun _ ordinal s ->
-            match ordinal with Some o -> Int_set.add o s | None -> s)
-          t.delivered Int_set.empty;
-    }
+  (* the wire image carries the delivered ordinal set itself, so the
+     trip loses nothing, not even an ordinal a second note_delivered of
+     the same id overwrote *)
+  let round_trip t = t
 
   let pending t =
     Id_map.fold
@@ -667,11 +684,13 @@ let pp_buffers_op ppf = function
           (option ~none:(any "membership") (pair ~sep:(any "#") int int)))
       es
 
-(* a small id space (3 origins x 4 seqs), so ops keep hitting the same
-   ids and learn oals often hold one id twice *)
+(* a small id space (3 origins x 8 seqs), so ops keep hitting the same
+   ids and learn oals often hold one id twice; seqs are delivered in any
+   order, so the per-origin ranges get holes, grow, merge and have holes
+   filled *)
 let gen_buffers_op =
   QCheck.Gen.(
-    let o = int_bound 2 and s = int_bound 3 and ord = int_bound 11 in
+    let o = int_bound 2 and s = int_bound 7 and ord = int_bound 11 in
     frequency
       [
         (4, map2 (fun o s -> B_store (o, s)) o s);
@@ -687,13 +706,13 @@ let gen_buffers_op =
           map
             (fun es -> B_learn es)
             (list_size (int_bound 8)
-               (opt ~ratio:0.85 (pair (int_bound 2) (int_bound 3)))) );
+               (opt ~ratio:0.85 (pair (int_bound 2) (int_bound 7)))) );
       ])
 
 let arb_buffers_ops =
   QCheck.make
     ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_buffers_op))
-    QCheck.Gen.(list_size (int_bound 40) gen_buffers_op)
+    QCheck.Gen.(list_size (int_bound 60) gen_buffers_op)
 
 let prop_buffers_indexes_match_model =
   QCheck.Test.make ~count:500
@@ -711,9 +730,6 @@ let prop_buffers_indexes_match_model =
           (ids (Buffers.stored b));
         same "pending" (Ref_buffers.pending r) (ids (Buffers.pending b));
         same "dpd" (Ref_buffers.dpd r) (Buffers.dpd b);
-        same "delivered"
-          (Ref_buffers.Id_map.bindings r.Ref_buffers.delivered)
-          (Buffers.to_wire b).Buffers.w_delivered;
         same "highest ordinal"
           (match Ref_buffers.Int_set.max_elt_opt r.Ref_buffers.ordinals with
            | Some o -> o
@@ -723,8 +739,8 @@ let prop_buffers_indexes_match_model =
           (List.init 13 (fun o ->
                Ref_buffers.Int_set.mem o r.Ref_buffers.ordinals))
           (List.init 13 (Buffers.delivered_ordinal b));
-        (* every id of the 3 x 4 space, stored, compacted or never seen *)
-        let every_id = List.init 12 (fun i -> id (i / 4) (i mod 4)) in
+        (* every id of the 3 x 8 space, stored, compacted or never seen *)
+        let every_id = List.init 24 (fun i -> id (i / 8) (i mod 8)) in
         same "delivered ids"
           (List.map (fun i -> Ref_buffers.Id_map.mem i r.Ref_buffers.delivered)
              every_id)
@@ -790,6 +806,105 @@ let prop_buffers_indexes_match_model =
           ops
       in
       true)
+
+(* The range set against [Set.Make (Int)]. Besides single random adds,
+   the generator adds x+2 then x, then x+1, which joins two runs. *)
+let prop_range_set_matches_set =
+  let module S = Set.Make (Int) in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 30)
+        (frequency
+           [
+             (3, map (fun x -> [ x ]) (int_bound 40));
+             (1, map (fun x -> [ x + 2; x; x + 1 ]) (int_bound 38));
+           ]))
+  in
+  QCheck.Test.make ~count:500 ~name:"range set equals Set.Make (Int)"
+    (QCheck.make ~print:QCheck.Print.(list (list int)) gen)
+    (fun groups ->
+      let elements r =
+        Range_set.fold
+          (fun lo hi acc -> List.init (hi - lo + 1) (fun i -> lo + i) @ acc)
+          r []
+      in
+      let agree r s =
+        elements r = S.elements s
+        && Range_set.max_elt_opt r = S.max_elt_opt s
+        && List.for_all
+             (fun x -> Range_set.mem x r = S.mem x s)
+             (List.init 44 (fun x -> x - 1))
+        (* canonical: no two runs touch *)
+        && fst
+             (Range_set.fold
+                (fun lo hi (ok, above) -> (ok && hi + 1 < above, lo))
+                r (true, max_int))
+      in
+      let r, s =
+        List.fold_left
+          (fun (r, s) x ->
+            let r' = Range_set.add x r and s' = S.add x s in
+            if not (agree r' s') then
+              QCheck.Test.fail_reportf "after adding %d: %s" x
+                (String.concat " "
+                   (Range_set.fold
+                      (fun lo hi acc -> Fmt.str "[%d,%d]" lo hi :: acc)
+                      r' []));
+            if S.mem x s && r' != r then
+              QCheck.Test.fail_reportf "adding member %d rebuilt the set" x;
+            (r', s'))
+          (Range_set.empty, S.empty) (List.concat groups)
+      in
+      let ranges = Range_set.fold (fun lo hi acc -> (lo, hi) :: acc) r [] in
+      agree (Range_set.of_ranges ranges) s
+      && agree (Range_set.of_ranges (List.rev ranges)) s)
+
+let test_range_set_join () =
+  let r = Range_set.(add 2 (add 0 (add 4 empty))) in
+  check Alcotest.int "three runs" 3 (Range_set.cardinal r);
+  let r = Range_set.(add 1 (add 3 r)) in
+  check Alcotest.int "filled holes join into one run" 1 (Range_set.cardinal r);
+  check Alcotest.(option int) "max" (Some 4) (Range_set.max_elt_opt r);
+  check Alcotest.int "overlapping ranges, any order" 2
+    (Range_set.cardinal
+       (Range_set.of_ranges
+          [ (5, 9); (0, 3); (2, 4); (11, 11); (8, 9); (7, 6) ]))
+
+(* Delivering [count] updates in order at n = 5, each compacted once it
+   is [window] ordinals old, leaves buffers whose size does not depend
+   on [count]: the history is one run per origin and one of ordinals. *)
+let buffers_after ~count ~window =
+  let payload = "u" in
+  let rec go b i =
+    if i = count then b
+    else
+      let p = proposal ~origin:(i mod 5) ~seq:(i / 5) payload in
+      let b, _ = Buffers.store b p in
+      let b = Buffers.note_delivered b p.Proposal.id ~ordinal:(Some i) in
+      go (Buffers.compact b ~below:(i - window)) (i + 1)
+  in
+  go Buffers.empty 0
+
+let test_buffers_bounded_state () =
+  let window = 16 in
+  let words count =
+    Obj.reachable_words (Obj.repr (buffers_after ~count ~window))
+  in
+  let small = words 1_000 and large = words 10_000 in
+  if abs (large - small) > window then
+    Alcotest.failf "Buffers grew with the run: %d words after 1k, %d after 10k"
+      small large;
+  let b = buffers_after ~count:10_000 ~window in
+  check Alcotest.int "one run per origin" 5
+    (Buffers.fold_delivered (fun _ seqs n -> n + Range_set.cardinal seqs) b 0);
+  check Alcotest.int "one run of ordinals" 1
+    (Range_set.cardinal (Buffers.delivered_ordinals b));
+  check Alcotest.int "the window is stored" (window + 1)
+    (List.length (Buffers.stored b));
+  check Alcotest.bool "an early id stays a duplicate" true
+    (Buffers.received b { Proposal.origin = pid 3; seq = 0 });
+  check Alcotest.int "highest ordinal" 9_999
+    (Buffers.highest_delivered_ordinal b)
 
 (* ------------------------------------------------------------------ *)
 (* Delivery conditions *)
@@ -901,7 +1016,7 @@ let test_delivery_strict_needs_stability () =
   (* stability of the dependency unblocks strict delivery *)
   let oal = Oal.ack_update oal dep.Proposal.id (pid 1) in
   let oal = Oal.ack_update oal dep.Proposal.id (pid 2) in
-  let oal = Oal.refresh_stability oal ~group in
+  let oal = Ref_oal.refresh_stability oal ~group in
   let ids, _ = deliver_ids ~oal ~buffers:b' ~now:Time.zero in
   check Alcotest.int "strict delivers after stability" 1 (List.length ids)
 
@@ -1213,8 +1328,8 @@ let test_core_appender_ordinal () =
   check Alcotest.bool "ordinal not yet delivered" false
     (Buffers.delivered_ordinal (Core.buffers t) appended);
   let t = Core.adopt t (Core.oal t) in
-  check Alcotest.(option int) "dated by adopt" (Some appended)
-    (Buffers.ordinal_of_delivered (Core.buffers t) p.Proposal.id);
+  check Alcotest.bool "dated by adopt" true
+    (Buffers.delivered_ordinal (Core.buffers t) appended);
   check Alcotest.int "dpd empty" 0 (List.length (Buffers.dpd (Core.buffers t)))
 
 let test_core_recover_holder () =
@@ -1603,7 +1718,7 @@ let random_oal rng seq =
 let evolve rng seq oal =
   let oal =
     if Rng.bool rng 0.6 then
-      Oal.ack_all_received oal
+      Ref_oal.ack_all_received oal
         ~received:(fun _ -> Rng.bool rng 0.7)
         ~by:(pid (Rng.int rng 4))
     else oal
@@ -1616,7 +1731,8 @@ let evolve rng seq oal =
       (List.init (Rng.int rng 3) Fun.id)
   in
   let oal =
-    if Rng.bool rng 0.5 then Oal.refresh_stability oal ~group:(set_of [ 0; 1 ])
+    if Rng.bool rng 0.5 then
+      Ref_oal.refresh_stability oal ~group:(set_of [ 0; 1 ])
     else oal
   in
   let oal =
@@ -1699,7 +1815,7 @@ let test_merge_covered_shares () =
   let incoming =
     fst
       (Oal.append_update
-         (Oal.ack_all_received oal ~received:(fun _ -> true) ~by:(pid 2))
+         (Ref_oal.ack_all_received oal ~received:(fun _ -> true) ~by:(pid 2))
          (info ~origin:2 ~seq:0 ()) ~acks:(set_of [ 2 ]))
   in
   check Alcotest.bool "covered, equal frontiers: the incoming value" true
@@ -1759,7 +1875,7 @@ module Ref_core = struct
 
   let view t =
     let received id = Buffers.received t.buffers id in
-    { t with oal = Oal.ack_all_received t.oal ~received ~by:t.self }
+    { t with oal = Ref_oal.ack_all_received t.oal ~received ~by:t.self }
 
   let adopt t oal =
     let t = view { t with oal } in
@@ -1786,7 +1902,7 @@ module Ref_core = struct
     in
     { t with oal = List.fold_left append t.oal (Buffers.stored t.buffers) }
 
-  let refresh t ~group = { t with oal = Oal.refresh_stability t.oal ~group }
+  let refresh t ~group = { t with oal = Ref_oal.refresh_stability t.oal ~group }
 
   let purge t =
     let delivered o = Buffers.delivered_ordinal t.buffers o in
@@ -1891,7 +2007,7 @@ let core_pool =
 let decider_oal seed oal =
   let rng = Rng.create seed in
   let oal =
-    Oal.ack_all_received oal
+    Ref_oal.ack_all_received oal
       ~received:(fun _ -> Rng.bool rng 0.8)
       ~by:(pid (1 + Rng.int rng 3))
   in
@@ -1919,7 +2035,8 @@ let decider_oal seed oal =
     else oal
   in
   let oal =
-    if Rng.bool rng 0.3 then Oal.refresh_stability oal ~group:(set_of [ 1; 2; 3 ])
+    if Rng.bool rng 0.3 then
+      Ref_oal.refresh_stability oal ~group:(set_of [ 1; 2; 3 ])
     else oal
   in
   if Rng.bool rng 0.1 then
@@ -2076,6 +2193,10 @@ let () =
           Alcotest.test_case "learn ordinals, id twice" `Quick
             test_buffers_learn_ordinals_duplicate;
           qcheck prop_buffers_indexes_match_model;
+          qcheck prop_range_set_matches_set;
+          Alcotest.test_case "range set joins runs" `Quick test_range_set_join;
+          Alcotest.test_case "state stays bounded" `Quick
+            test_buffers_bounded_state;
         ] );
       ( "delivery",
         [

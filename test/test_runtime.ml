@@ -103,15 +103,41 @@ let gen_oal =
     | Ok oal -> return oal
     | Error e -> failwith ("generator built an invalid oal image: " ^ e))
 
+(* Buffers built the way a member builds them: proposals stored,
+   delivered in any order (with or without an ordinal) and compacted,
+   over a small id space, so the delivered history has holes, stored
+   delivered proposals and undated ids. *)
 let gen_buffers =
+  let gen_id =
+    QCheck.Gen.map2
+      (fun origin seq -> { Proposal.origin = pid origin; seq })
+      (QCheck.Gen.int_bound 3) (QCheck.Gen.int_bound 12)
+  in
   QCheck.Gen.(
-    list_size (int_bound 5) gen_proposal >>= fun w_proposals ->
-    list_size (int_bound 5) (pair gen_proposal_id (option (int_bound 30)))
-    >>= fun w_delivered ->
-    list_size (int_bound 3) (pair gen_proposal_id gen_time)
-    >>= fun w_marks ->
-    list_size (int_bound 3) (pair gen_proc gen_time) >>= fun w_blocked ->
-    return (Buffers.of_wire { Buffers.w_proposals; w_delivered; w_marks; w_blocked }))
+    let op =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun id p b -> fst (Buffers.store b { p with Proposal.id = id }))
+              gen_id gen_proposal );
+          ( 3,
+            map2
+              (fun id ordinal b -> Buffers.note_delivered b id ~ordinal)
+              gen_id (option (int_bound 30)) );
+          (1, map (fun below b -> Buffers.compact b ~below) (int_bound 30));
+          ( 1,
+            map2
+              (fun id expires b -> Buffers.mark_undeliverable b id ~expires)
+              gen_id gen_time );
+          ( 1,
+            map2
+              (fun origin expires b -> Buffers.block_origin b origin ~expires)
+              gen_proc gen_time );
+        ]
+    in
+    list_size (int_bound 16) op
+    >|= List.fold_left (fun b f -> f b) Buffers.empty)
 
 let gen_control : (string, string list) Control_msg.t QCheck.Gen.t =
   QCheck.Gen.(
@@ -343,6 +369,47 @@ let round_trip_structural () =
   | Ok _ -> Alcotest.fail "decoded to a different constructor"
   | Error e -> Alcotest.failf "decode failed: %a" Codec.pp_error e
 
+(* A state transfer after [count] in-order deliveries at n = 5, each
+   compacted once it is 16 ordinals old. *)
+let state_transfer_after count =
+  let rec go b i =
+    if i = count then b
+    else
+      let p =
+        Proposal.make ~origin:(pid (i mod 5)) ~seq:(i / 5)
+          ~semantics:Semantics.total_strong ~send_ts:(Time.of_us i)
+          ~hdo:(i - 1) "payload"
+      in
+      let b = fst (Buffers.store b p) in
+      let b = Buffers.note_delivered b p.Proposal.id ~ordinal:(Some i) in
+      go (Buffers.compact b ~below:(i - 16)) (i + 1)
+  in
+  Full_stack.Gc
+    (Control_msg.State_transfer
+       {
+         st_ts = Time.of_ms 1;
+         st_group = Proc_set.full ~n:5;
+         st_group_id = { Group_id.epoch = 0; seq = 1 };
+         st_oal = Oal.empty;
+         st_app = [];
+         st_buffers = go Buffers.empty 0;
+       })
+
+(* The frame carries the delivered history as ranges, so 10k deliveries
+   cost what 100 do. The only growth is the varint width of the larger
+   seqs, ordinals and timestamps: at most two bytes for each of the five
+   origins' runs, the ordinal run and the 17 stored proposals' fields. *)
+let state_transfer_bounded () =
+  let bytes count =
+    String.length (Codec.encode pc ~sender:(pid 0) (state_transfer_after count))
+  in
+  let small = bytes 100 and large = bytes 10_000 in
+  let varint_growth = 2 * (6 + (17 * 4)) in
+  if large > small + varint_growth then
+    Alcotest.failf
+      "state-transfer frame grew with the run: %d B after 100, %d B after 10k"
+      small large
+
 (* ------------------------------------------------------------------ *)
 (* rejection *)
 
@@ -405,7 +472,55 @@ let rejects_wrong_version () =
   let frame = Bytes.of_string (sample_frame ()) in
   Bytes.set frame 2 (Char.chr 99);
   check_error "version 99" (Codec.Bad_version 99)
+    (Codec.decode pc (Bytes.to_string frame));
+  (* version 1 carried the delivered history id by id *)
+  Bytes.set frame 2 (Char.chr 1);
+  check_error "version 1" (Codec.Bad_version 1)
     (Codec.decode pc (Bytes.to_string frame))
+
+(* A delivered range with lo > hi names no seq: the frame is refused,
+   not read as an empty or an inverted range. *)
+let rejects_empty_range () =
+  let ints xs =
+    let w = Wire.writer () in
+    List.iter (Wire.int w) xs;
+    Wire.contents w
+  in
+  let buffers =
+    Buffers.note_delivered Buffers.empty
+      { Proposal.origin = pid 1; seq = 1000 }
+      ~ordinal:None
+  in
+  let frame =
+    Codec.encode pc ~sender:(pid 0)
+      (Full_stack.Gc
+         (Control_msg.State_transfer
+            {
+              st_ts = Time.of_ms 1;
+              st_group = Proc_set.full ~n:3;
+              st_group_id = { Group_id.epoch = 0; seq = 1 };
+              st_oal = Oal.empty;
+              st_app = [];
+              st_buffers = buffers;
+            }))
+  in
+  let range = ints [ 1000; 1000 ] and inverted = ints [ 1000; 999 ] in
+  let at =
+    let n = String.length range in
+    let rec find i =
+      if i + n > String.length frame then Alcotest.fail "range not in frame"
+      else if String.sub frame i n = range then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let bad =
+    String.sub frame 0 at ^ inverted
+    ^ String.sub frame (at + String.length range)
+        (String.length frame - at - String.length range)
+  in
+  check_error "inverted range" (Codec.Malformed "empty range")
+    (Codec.decode pc bad)
 
 let rejects_bad_magic () =
   let frame = Bytes.of_string (sample_frame ()) in
@@ -1235,6 +1350,8 @@ let () =
             `Quick encode_to_zero_alloc;
           Alcotest.test_case "decode_bytes reads a window in place" `Quick
             decode_bytes_window;
+          Alcotest.test_case "state-transfer frame stays bounded" `Quick
+            state_transfer_bounded;
           Alcotest.test_case "structural round trip" `Quick
             round_trip_structural;
           Alcotest.test_case "rejects truncated frames" `Quick rejects_truncated;
@@ -1243,6 +1360,8 @@ let () =
           Alcotest.test_case "rejects wrong version" `Quick
             rejects_wrong_version;
           Alcotest.test_case "rejects bad magic" `Quick rejects_bad_magic;
+          Alcotest.test_case "rejects an inverted delivered range" `Quick
+            rejects_empty_range;
           Alcotest.test_case "rejects retired control tag 9" `Quick
             rejects_retired_control_tag;
           qcheck decode_total;
