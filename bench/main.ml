@@ -740,10 +740,13 @@ let codec_micro_record row =
 
 let bench_json_file = "BENCH_engine.json"
 
-(* the checkout's revision, or "unknown" outside a git checkout *)
+(* the checkout's revision, with "-dirty" when the tree has uncommitted
+   changes, or "unknown" outside a git checkout *)
 let rev =
   lazy
-    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    (match
+       Unix.open_process_in "git describe --always --dirty --abbrev=7 2>/dev/null"
+     with
     | exception Unix.Unix_error _ -> "unknown"
     | ic -> (
       let line = In_channel.input_line ic in

@@ -109,19 +109,32 @@ let adopt t oal = learn (view (set_oal t oal))
 let merge t ~incoming =
   learn (view { t with oal = Oal.merge ~local:t.oal ~incoming })
 
+let unordered t id ~now =
+  not (Oal.mem_update t.oal id || Buffers.is_marked t.buffers id ~now)
+
+exception Unordered
+
+let holds_unordered t ~now =
+  match
+    Buffers.fold_proposals
+      (fun id _ () -> if unordered t id ~now then raise Unordered)
+      t.buffers ()
+  with
+  | () -> false
+  | exception Unordered -> true
+
 (* The ack bit means "has merged an oal containing this descriptor (and
    holds the payload)": only the appender qualifies at append time.
    Pre-acking the origin would let the entry stabilize and be purged
    before the origin ever learned its ordinal, leaving it a silent
-   gap. *)
+   gap. Stored ids are distinct, so an append never changes whether a
+   later one is [unordered]. *)
 let order_pending t ~now =
   let acks = Proc_set.singleton t.self in
   let append oal (p : 'u Proposal.t) =
-    if
-      Oal.mem_update oal p.Proposal.id
-      || Buffers.is_marked t.buffers p.Proposal.id ~now
-    then oal
-    else fst (Oal.append_update oal (info_of p) ~acks)
+    if unordered t p.Proposal.id ~now then
+      fst (Oal.append_update oal (info_of p) ~acks)
+    else oal
   in
   { t with oal = List.fold_left append t.oal (Buffers.stored t.buffers) }
 

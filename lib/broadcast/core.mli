@@ -78,6 +78,15 @@ val order_pending : 'u t -> now:Time.t -> 'u t
     appender learns that ordinal from the next oal it adopts, like
     every other member. *)
 
+val unordered : 'u t -> Proposal.id -> now:Time.t -> bool
+(** Does the oal lack a descriptor for the update, which is not marked
+    undeliverable? {!order_pending} appends exactly the buffered
+    proposals for which this holds. One index lookup. *)
+
+val holds_unordered : 'u t -> now:Time.t -> bool
+(** Does some buffered proposal satisfy {!unordered}? Stops at the first
+    one. *)
+
 val refresh : 'u t -> group:Proc_set.t -> 'u t
 (** Mark the entries acked by all of [group] stable. *)
 

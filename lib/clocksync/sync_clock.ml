@@ -42,20 +42,9 @@ let drop_stale t ~now_local =
     readings = Pmap.filter (fun _ r -> is_valid t ~now_local r) t.readings;
   }
 
-type status = {
-  synchronized : bool;
-  reference : Proc_id.t;
-  bound : Time.t;
-  readable : Proc_set.t;
-}
+type status = { synchronized : bool; reference : Proc_id.t; bound : Time.t }
 
-let readable_set t ~now_local =
-  Pmap.fold
-    (fun p r acc -> if is_valid t ~now_local r then Proc_set.add p acc else acc)
-    t.readings
-    (Proc_set.singleton t.self)
-
-let reference_of _readable = Proc_id.of_int 0
+let reference = Proc_id.of_int 0
 
 let bound_to t ~now_local reference =
   if Proc_id.equal reference t.self then Time.zero
@@ -66,13 +55,11 @@ let bound_to t ~now_local reference =
       Reading.error_at r ~now_local ~drift_bound:t.params.drift_bound
 
 let status t ~now_local =
-  let readable = readable_set t ~now_local in
-  let reference = reference_of readable in
   let bound = bound_to t ~now_local reference in
   let synchronized =
     Time.compare bound (Time.div t.params.epsilon 2) <= 0
   in
-  { synchronized; reference; bound; readable }
+  { synchronized; reference; bound }
 
 let offset_to t reference =
   if Proc_id.equal reference t.self then Some Time.zero

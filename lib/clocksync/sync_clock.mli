@@ -45,7 +45,6 @@ type status = {
   synchronized : bool;
   reference : Proc_id.t;  (** the fixed reference process *)
   bound : Time.t;  (** current error bound w.r.t. the reference *)
-  readable : Proc_set.t;  (** processes with a valid recent reading *)
 }
 
 val status : t -> now_local:Time.t -> status

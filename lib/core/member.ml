@@ -82,6 +82,9 @@ type ('u, 'app) state = {
   core : 'u Core.t; (* the broadcast state: oal, buffers, next seq *)
   last_decision_ts : Time.t;
   decider : bool;
+  hasten : (Time.t * Time.t) option;
+      (* adaptive pacing, while the decide timer still stands at its
+         paced deadline: (previous decision + delta, paced deadline) *)
   last_control_sent : ('u, 'app) C.t option;
   app : 'app;
   join_msgs : join_info Pmap.t;
@@ -132,7 +135,14 @@ let member_of_current_group s =
    re-forming a colliding epoch). *)
 let install_view s ~clock ~group ~group_id :
     ('u, 'app) state * ('u, 'app) eff =
-  let s = { s with group; group_id } in
+  (* A dropped member was last heard about N*D + 2D before its
+     exclusion, less than the N*(D+delta) alive window when
+     N*delta > 2D: its stale heard-record would put it straight back on
+     the alive-list and [joiners_ready] would readmit it unheard. *)
+  let fd =
+    Proc_set.fold (fun p fd -> FD.forget fd p) (Proc_set.diff s.group group) s.fd
+  in
+  let s = { s with group; group_id; fd } in
   s.cfg.persist ~self:s.self ~now:clock
     { last_group_id = group_id; last_group = group };
   (s, Engine.Observe (View_installed { group; group_id }))
@@ -305,19 +315,42 @@ let send_decision s ~clock : ('u, 'app) state * ('u, 'app) eff list =
   let s, deliver_effects = deliver s ~clock in
   (s, view_effects @ send_effects @ transfer_effects @ deliver_effects)
 
-let become_decider s ~clock : ('u, 'app) state * ('u, 'app) eff list =
+(* Adaptive pacing: move the decide timer from the paced deadline to
+   delta after the previous decision (or now, when that has passed), so
+   the previous decision has reached every member of a timely run. Once
+   only, on the first unordered proposal a failure-free decider holds. *)
+let hasten s ~clock : ('u, 'app) state * ('u, 'app) eff list =
+  match s.hasten with
+  | Some (floor, due)
+    when s.decider && CS.kind_of s.creator = CS.KFailure_free ->
+    let at_clock = Time.min due (Time.max clock floor) in
+    ( { s with hasten = None },
+      [ Engine.Set_timer { key = timer_decide; at_clock } ] )
+  | Some _ | None -> (s, [])
+
+(* [prev] is the timestamp of the decision that handed the role over. *)
+let become_decider s ~clock ~prev : ('u, 'app) state * ('u, 'app) eff list =
   if s.decider then (s, [])
   else begin
-    let s = { s with decider = true } in
-    let delay =
-      if (params s).Params.eager_decisions then Time.of_us 1
-      else (params s).Params.d
+    let p = params s in
+    let due =
+      Time.add clock
+        (match p.Params.pacing with
+        | Params.Eager -> Time.of_us 1
+        | Params.Paced | Params.Adaptive -> p.Params.d)
     in
-    ( s,
-      [
-        Engine.Set_timer { key = timer_decide; at_clock = Time.add clock delay };
-        Engine.Observe Became_decider;
-      ] )
+    let window =
+      match p.Params.pacing with
+      | Params.Adaptive -> Some (Time.add prev p.Params.delta, due)
+      | Params.Paced | Params.Eager -> None
+    in
+    let s = { s with decider = true; hasten = window } in
+    let s, arm =
+      if window <> None && Core.holds_unordered s.core ~now:clock then
+        hasten s ~clock
+      else (s, [ Engine.Set_timer { key = timer_decide; at_clock = due } ])
+    in
+    (s, arm @ [ Engine.Observe Became_decider ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -477,7 +510,7 @@ let exec_directive s ~clock directive =
       (make_no_decision s ~clock ~suspect ~since)
   | GC.Exclude_and_decide { suspect } ->
     create_group s ~clock ~new_group:(Proc_set.remove suspect s.group)
-  | GC.Take_over_decider -> become_decider s ~clock
+  | GC.Take_over_decider -> become_decider s ~clock ~prev:s.last_decision_ts
   | GC.Resend_last_control -> (
     match s.last_control_sent with
     | Some msg -> (s, [ Engine.Broadcast msg ])
@@ -516,7 +549,10 @@ let on_submit s ~clock ~semantics payload =
   else begin
     let core, proposal = Core.submit s.core ~clock ~semantics payload in
     let s, deliver_effects = deliver { s with core } ~clock in
-    (s, Engine.Broadcast (C.Proposal_msg proposal) :: deliver_effects)
+    let s, hasten_effects = hasten s ~clock in
+    ( s,
+      (Engine.Broadcast (C.Proposal_msg proposal) :: deliver_effects)
+      @ hasten_effects )
   end
 
 (* Only majority groups are valid membership descriptors (Section 3,
@@ -675,7 +711,7 @@ let on_decision s ~clock ~src (d : C.decision) =
            && (match Proc_set.successor_in s.group src ~n:s.n with
               | Some next -> Proc_id.equal next s.self
               | None -> false) ->
-      become_decider s ~clock
+      become_decider s ~clock ~prev:s.last_decision_ts
     | _ -> (s, [])
   in
   ( s,
@@ -816,7 +852,8 @@ let on_state_transfer s ~clock ~src (st : ('u, 'app) C.state_transfer) =
        when we are the integrator's group successor, the role is ours *)
     let s, decider_effects =
       match Proc_set.successor_in s.group src ~n:s.n with
-      | Some next when Proc_id.equal next s.self -> become_decider s ~clock
+      | Some next when Proc_id.equal next s.self ->
+        become_decider s ~clock ~prev:(Time.max s.last_decision_ts st.C.st_ts)
       | Some _ | None -> (s, [])
     in
     let s, deliver_effects = deliver s ~clock in
@@ -1054,6 +1091,7 @@ let init cfg ~self ~n ~clock ~incarnation:_ =
       core = Core.create ~self ~n;
       last_decision_ts = Time.zero;
       decider = false;
+      hasten = None;
       last_control_sent = None;
       app = cfg.initial_app;
       join_msgs = Pmap.empty;
@@ -1080,7 +1118,12 @@ let on_receive s ~clock ~src msg =
   | C.Submit { semantics; payload } -> on_submit s ~clock ~semantics payload
   | C.Proposal_msg p | C.Retransmit p -> (
     match Core.receive s.core ~now:clock p with
-    | Some core -> deliver { s with core } ~clock
+    | Some core ->
+      let s, deliver_effects = deliver { s with core } ~clock in
+      if Core.unordered core p.Proposal.id ~now:clock then
+        let s, hasten_effects = hasten s ~clock in
+        (s, deliver_effects @ hasten_effects)
+      else (s, deliver_effects)
     | None -> (s, []))
   | C.Nack { missing } ->
     ( s,

@@ -1,5 +1,7 @@
 open Tasim
 
+type pacing = Paced | Eager | Adaptive
+
 type t = {
   n : int;
   delta : Time.t;
@@ -8,14 +10,14 @@ type t = {
   d : Time.t;
   slot_len : Time.t;
   timed_delay : Time.t;
-  eager_decisions : bool;
+  pacing : pacing;
   single_failure_election : bool;
   adaptive_suspicion : bool;
 }
 
 let make ?(delta = Time.of_ms 10) ?(sigma = Time.of_ms 1)
     ?(epsilon = Time.of_ms 2) ?(d = Time.of_ms 30) ?slot_len
-    ?(timed_delay = Time.of_ms 200) ?(eager_decisions = false)
+    ?(timed_delay = Time.of_ms 200) ?(pacing = Adaptive)
     ?(single_failure_election = true) ?(adaptive_suspicion = false) ~n () =
   let slot_len =
     match slot_len with Some s -> s | None -> Time.add d delta
@@ -28,7 +30,7 @@ let make ?(delta = Time.of_ms 10) ?(sigma = Time.of_ms 1)
   if Time.compare slot_len (Time.add d delta) < 0 then
     invalid_arg "Params.make: slot_len must be at least d + delta";
   {
-    n; delta; sigma; epsilon; d; slot_len; timed_delay; eager_decisions;
+    n; delta; sigma; epsilon; d; slot_len; timed_delay; pacing;
     single_failure_election; adaptive_suspicion;
   }
 

@@ -11,11 +11,27 @@
       decision message (D in the paper);
     - [slot_len]: length of a time slot, which "has to be at least
       D + delta" (Section 4.2);
-    - [timed_delay]: delivery delay for [Timed]-ordered updates.
+    - [timed_delay]: delivery delay for [Timed]-ordered updates;
+    - [pacing]: when a decider sends its decision within the D bound.
 
     All times are on the synchronized clock time base. *)
 
 open Tasim
+
+(** When a decider sends its decision. D is the paper's maximum
+    interval; the decision doubles as the ring heartbeat. *)
+type pacing =
+  | Paced  (** always after the full D: the paper's rotation *)
+  | Eager
+      (** 1 µs after taking the role, whether or not any proposal is
+          pending, so an idle group rotates the role as fast as
+          decisions travel *)
+  | Adaptive
+      (** a failure-free decider that holds a proposal with no oal
+          descriptor sends [delta] after the previous decision (at once
+          when that has passed), never after its D deadline; a decider
+          that holds none waits D, so an idle group runs exactly as
+          [Paced] *)
 
 type t = private {
   n : int;
@@ -25,11 +41,7 @@ type t = private {
   d : Time.t;
   slot_len : Time.t;
   timed_delay : Time.t;
-  eager_decisions : bool;
-      (** when true every decider sends its decision 1 µs after taking
-          the role instead of waiting the full D, whether or not any
-          proposal is pending, so an idle group rotates the role as
-          fast as decisions travel *)
+  pacing : pacing;
   single_failure_election : bool;
       (** the paper's fast path: the no-decision ring for single
           failures. Disabling it (ablation A3) routes every suspicion
@@ -47,14 +59,14 @@ val make :
   ?d:Time.t ->
   ?slot_len:Time.t ->
   ?timed_delay:Time.t ->
-  ?eager_decisions:bool ->
+  ?pacing:pacing ->
   ?single_failure_election:bool ->
   ?adaptive_suspicion:bool ->
   n:int ->
   unit ->
   t
 (** Defaults: delta = 10ms, sigma = 1ms, epsilon = 2ms, d = 30ms,
-    slot_len = d + delta, timed_delay = 200ms, eager_decisions = false,
+    slot_len = d + delta, timed_delay = 200ms, pacing = Adaptive,
     single_failure_election = true, adaptive_suspicion = false.
     Raises [Invalid_argument] when [n < 2], [slot_len < d + delta], or
     [delta] or [d] is non-positive. *)

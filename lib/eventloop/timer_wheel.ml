@@ -15,6 +15,10 @@ type t = {
   mutable current_tick : int;
   mutable next_id : int;
   mutable pending : int;
+  mutable earliest : int;
+      (* min expiry tick over the pending timers, [max_int] when none;
+         meaningful only while [earliest_known] *)
+  mutable earliest_known : bool;
 }
 
 let create ?(wheel_size = 256) ~tick () =
@@ -27,6 +31,8 @@ let create ?(wheel_size = 256) ~tick () =
     current_tick = 0;
     next_id = 0;
     pending = 0;
+    earliest = max_int;
+    earliest_known = true;
   }
 
 let now t = t.current_tick * t.tick
@@ -43,6 +49,7 @@ let schedule t ~at callback =
   bucket := timer :: !bucket;
   Hashtbl.add t.by_id id timer;
   t.pending <- t.pending + 1;
+  if expiry_tick < t.earliest then t.earliest <- expiry_tick;
   id
 
 let cancel t id =
@@ -54,6 +61,7 @@ let cancel t id =
       timer.cancelled <- true;
       Hashtbl.remove t.by_id id;
       t.pending <- t.pending - 1;
+      if timer.expiry_tick = t.earliest then t.earliest_known <- false;
       (* purge the bucket now: under an arm/cancel/re-arm-every-cycle
          pattern, leaving cancelled timers in place until their expiry
          tick makes buckets accumulate garbage that every fire_bucket
@@ -93,6 +101,8 @@ let advance t ~to_ =
     t.current_tick <- t.current_tick + 1;
     fired := !fired + fire_bucket t t.current_tick
   done;
+  (* every timer at or below the current tick has fired *)
+  if t.earliest <= t.current_tick then t.earliest_known <- false;
   !fired
 
 let pending t = t.pending
@@ -100,10 +110,14 @@ let pending t = t.pending
 let resident t =
   Array.fold_left (fun acc bucket -> acc + List.length !bucket) 0 t.buckets
 
+(* The fold runs only after the earliest timer fired or was cancelled;
+   arming keeps the minimum itself. *)
 let next_expiry t =
-  if t.pending = 0 then None
-  else
-    Some
-      (Hashtbl.fold
-         (fun _ timer acc -> Stdlib.min acc (timer.expiry_tick * t.tick))
-         t.by_id max_int)
+  if not t.earliest_known then begin
+    t.earliest <-
+      Hashtbl.fold
+        (fun _ timer acc -> Stdlib.min acc timer.expiry_tick)
+        t.by_id max_int;
+    t.earliest_known <- true
+  end;
+  if t.pending = 0 then None else Some (t.earliest * t.tick)

@@ -51,5 +51,5 @@ val resident : t -> int
 val next_expiry : t -> int option
 (** Earliest pending expiry, in the same units as [tick] (the time the
     wheel must be {!advance}d to for the next timer to fire); [None]
-    when nothing is pending. O(pending) — meant for wall-clock event
-    loops computing a poll deadline, not for hot per-event use. *)
+    when nothing is pending. O(1) while the earliest timer stands; a
+    fire or cancel of the earliest makes the next call O(pending). *)

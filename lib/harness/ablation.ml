@@ -48,7 +48,7 @@ let a1 ~quick =
   let seeds = if quick then [ 81 ] else [ 81; 82; 83 ] in
   List.iter
     (fun d_ms ->
-      let params = Params.make ~d:(Time.of_ms d_ms) ~n:5 () in
+      let params = Params.make ~pacing:Paced ~d:(Time.of_ms d_ms) ~n:5 () in
       let rate = failure_free_rate ~params ~seed:81 ~window:(Time.of_sec 5) in
       let detections, recoveries =
         List.fold_left
@@ -86,8 +86,8 @@ let a2 ~quick =
   in
   let updates = if quick then 40 else 150 in
   List.iter
-    (fun eager ->
-      let params = Params.make ~eager_decisions:eager ~n:5 () in
+    (fun (mode, pacing) ->
+      let params = Params.make ~pacing ~n:5 () in
       let svc = Run.service ~seed:91 ~params ~n:5 () in
       let stats = Stats.create () in
       Service.on_delivery svc (fun _proc ~at proposal ~ordinal:_ ->
@@ -114,13 +114,14 @@ let a2 ~quick =
       | Some s ->
         Table.add_row table
           [
-            (if eager then "eager" else "paced (D)");
+            mode;
             Table.cell_f rate;
             Table.cell_ms s.Stats.p50;
             Table.cell_ms s.Stats.p95;
           ]
       | None -> ())
-    [ false; true ];
+    [ ("paced (D)", Params.Paced); ("eager", Params.Eager);
+      ("adaptive", Params.Adaptive) ];
   Table.note table
     "eager rotation orders updates at network speed but multiplies the \
      failure-free message rate — the paper's paced design is the \
@@ -139,7 +140,9 @@ let a3 ~quick =
   let seeds = if quick then [ 95 ] else [ 95; 96; 97; 98 ] in
   List.iter
     (fun enabled ->
-      let params = Params.make ~single_failure_election:enabled ~n:5 () in
+      let params =
+        Params.make ~pacing:Paced ~single_failure_election:enabled ~n:5 ()
+      in
       let recoveries, detections =
         List.fold_left
           (fun (rs, ds) seed ->

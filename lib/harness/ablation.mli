@@ -5,9 +5,11 @@
       over a cycle of N·D for non-decider members). Sweeping D exposes
       the knob the paper leaves to deployment.
     + {b A2: eager vs paced decisions.} A decider may hold its decision
-      for the full D (paced rotation, minimal messages) or send as soon
+      for the full D (paced rotation, minimal messages), send as soon
       as it takes the role (eager — the rotation spins at network
-      speed): ordering latency against message cost.
+      speed), or send delta after the previous decision only while it
+      holds an unordered proposal (adaptive): ordering latency against
+      message cost.
     + {b A3: the single-failure fast path.} The paper's headline
       optimization is the no-decision ring. Disabling it routes every
       suspicion through the slotted reconfiguration election; the

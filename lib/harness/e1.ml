@@ -49,7 +49,7 @@ let run ?(quick = false) () =
   in
   List.iter
     (fun n ->
-      let params = Params.make ~n () in
+      let params = Params.make ~pacing:Paced ~n () in
       let svc = Run.service ~seed:7 ~n () in
       let svc = Run.settle svc in
       let before = Run.counters_snapshot svc in

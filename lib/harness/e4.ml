@@ -71,7 +71,7 @@ let run ?(quick = false) () =
   in
   List.iter
     (fun (n, f, pick) ->
-      let params = Params.make ~n () in
+      let params = Params.make ~pacing:Paced ~n () in
       let cycle_us = float_of_int (Params.cycle params) in
       let results = List.map (fun seed -> one_run ~n ~f ~seed ~pick) seeds in
       let durations = List.filter_map fst results in

@@ -10,7 +10,7 @@ type outcome = {
 }
 
 let one_run ~n ~seed ~omission ~crash =
-  let params = Params.make ~n () in
+  let params = Params.make ~pacing:Paced ~n () in
   let cs_cfg = Clocksync.Protocol.default_config ~n in
   let cs_cfg = { cs_cfg with Clocksync.Protocol.delta = params.Params.delta } in
   let member_cfg = Member.config ~initial_app:() params in

@@ -24,7 +24,7 @@ let total counters prefix =
     0 counters
 
 let run ?(n = 256) ?(seconds = 3) ?(seed = 42) () =
-  let params = Params.make ~n () in
+  let params = Params.make ~pacing:Paced ~n () in
   let svc = Run.service ~seed ~params ~n () in
   (* the run is faultless, so every suspicion observed is a false one *)
   let suspicions = ref 0 in

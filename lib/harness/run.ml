@@ -10,7 +10,7 @@ type watcher = {
 let service ?(seed = 1) ?(omission = 0.0) ?(late = 0.0) ?(slow = 0.0) ?params
     ~n () =
   let params =
-    match params with Some p -> p | None -> Params.make ~n ()
+    match params with Some p -> p | None -> Params.make ~pacing:Paced ~n ()
   in
   let net =
     {

@@ -20,7 +20,8 @@ val service :
   svc
 (** [late] is the probability of a message performance failure (delay
     beyond delta); [slow] the probability of a scheduling performance
-    failure (reaction beyond sigma). *)
+    failure (reaction beyond sigma). Without [params] the members run
+    [Params.make ~pacing:Paced ~n ()], the paper's paced rotation. *)
 
 val settle : svc -> svc
 (** Run until the initial group has formed plus one cycle of margin;

@@ -284,57 +284,90 @@ let count_sent t msg len =
   Stats.bump kc.kc_sent;
   Stats.bump_by kc.kc_sent_bytes len
 
-let send t ~dst msg =
-  if not t.closed then begin
-    let len = encode_frame t msg in
-    if len < 0 || len > Codec.max_frame then Stats.bump t.drop_oversize
+(* Route one encoded frame, sitting in the batch buffer at [off], to
+   [d]: commit a meta entry pointing at it, or hand it to the
+   impairment shim, which sends it inline or holds its own copy.
+   Returns whether a batch entry now reads the frame. *)
+let route t msg ~off ~len d =
+  let b = t.batch in
+  let rule = if t.impair_count = 0 then None else t.impair_rules.(d) in
+  match rule with
+  | None ->
+    (* commit the frame to the batch; it counts as sent now (an
+       unreliable datagram service may still drop it at flush) *)
+    let i = b.bt_count in
+    b.bt_meta.(3 * i) <- off;
+    b.bt_meta.((3 * i) + 1) <- len;
+    b.bt_meta.((3 * i) + 2) <- t.ports.(d);
+    b.bt_dst.(i) <- d;
+    b.bt_count <- i + 1;
+    count_sent t msg len;
+    true
+  | Some r ->
+    (* impaired destinations bypass the batch: the shim owns their
+       timing *)
+    if Rng.bool t.impair_rng r.ir_drop then Stats.bump t.impair_dropped
     else begin
-      let b = t.batch in
-      let d = Proc_id.to_int dst in
-      let rule = if t.impair_count = 0 then None else t.impair_rules.(d) in
-      match rule with
-      | None ->
-        (* commit the frame to the batch; it counts as sent now (an
-           unreliable datagram service may still drop it at flush) *)
-        let i = b.bt_count in
-        b.bt_meta.(3 * i) <- b.bt_len;
-        b.bt_meta.((3 * i) + 1) <- len;
-        b.bt_meta.((3 * i) + 2) <- t.ports.(d);
-        b.bt_dst.(i) <- d;
-        b.bt_count <- i + 1;
-        b.bt_len <- b.bt_len + len;
-        count_sent t msg len;
-        if
-          b.bt_count >= Mmsg.slots
-          || b.bt_len + Codec.max_frame > Bytes.length b.bt_buf
-        then flush t
-      | Some r ->
-        (* impaired destinations bypass the batch: the shim owns their
-           timing, and the frame sits at the batch tail uncommitted *)
-        if Rng.bool t.impair_rng r.ir_drop then Stats.bump t.impair_dropped
-        else begin
-          let extra =
-            if Time.compare r.ir_jitter Time.zero > 0 then
-              Time.add r.ir_delay
-                (Rng.uniform_time t.impair_rng Time.zero r.ir_jitter)
-            else r.ir_delay
-          in
-          if Time.compare extra Time.zero <= 0 then begin
-            if try_sendto t b.bt_buf ~pos:b.bt_len ~len d then
-              count_sent t msg len
-          end
-          else begin
-            (* held frames count as sent now (the kind is only known
-               here); [pump] transmits them when due *)
-            let due = Time.add (t.impair_clock ()) extra in
-            t.held <-
-              { h_due = due; h_dst = d; h_frame = Bytes.sub b.bt_buf b.bt_len len }
-              :: t.held;
-            count_sent t msg len
-          end
+      let extra =
+        if Time.compare r.ir_jitter Time.zero > 0 then
+          Time.add r.ir_delay (Rng.uniform_time t.impair_rng Time.zero r.ir_jitter)
+        else r.ir_delay
+      in
+      if Time.compare extra Time.zero <= 0 then begin
+        if try_sendto t b.bt_buf ~pos:off ~len d then count_sent t msg len
+      end
+      else begin
+        (* held frames count as sent now (the kind is only known here);
+           [pump] transmits them when due *)
+        let due = Time.add (t.impair_clock ()) extra in
+        t.held <-
+          { h_due = due; h_dst = d; h_frame = Bytes.sub b.bt_buf off len }
+          :: t.held;
+        count_sent t msg len
+      end
+    end;
+    false
+
+let peers = -1
+
+(* Encode [msg] once at the batch tail and route it to destination
+   index [dst], or to every process but [self] when [dst = peers]. The
+   frame stays at the tail, uncommitted, unless some batch entry reads
+   it. A batch that cannot take one entry per destination is flushed
+   before the encode; a team larger than the batch flushes as it fills,
+   the frame bytes staying where they are until the next encode. *)
+let send_frame t msg ~dst =
+  let b = t.batch in
+  let count = if dst = peers then t.n - 1 else 1 in
+  if b.bt_count > 0 && b.bt_count + count > Mmsg.slots then flush t;
+  let len = encode_frame t msg in
+  if len < 0 || len > Codec.max_frame then Stats.bump_by t.drop_oversize count
+  else begin
+    let off = b.bt_len in
+    let committed = ref false in
+    if dst <> peers then committed := route t msg ~off ~len dst
+    else begin
+      let self = Proc_id.to_int t.self in
+      for d = 0 to t.n - 1 do
+        if d <> self then begin
+          if b.bt_count >= Mmsg.slots then flush t;
+          if route t msg ~off ~len d then committed := true
         end
+      done
+    end;
+    if !committed then begin
+      b.bt_len <- off + len;
+      if
+        b.bt_count >= Mmsg.slots
+        || b.bt_len + Codec.max_frame > Bytes.length b.bt_buf
+      then flush t
     end
   end
+
+let send t ~dst msg =
+  if not t.closed then send_frame t msg ~dst:(Proc_id.to_int dst)
+
+let broadcast t msg = if not t.closed then send_frame t msg ~dst:peers
 
 (* ------------------------------------------------------------------ *)
 (* Impairment shim management *)
@@ -399,11 +432,6 @@ let pump t ~now =
       due;
     List.length due
   end
-
-let broadcast t msg =
-  List.iter
-    (fun dst -> if not (Proc_id.equal dst t.self) then send t ~dst msg)
-    (Proc_id.all ~n:t.n)
 
 let drop_counter t (err : Codec.error) =
   match err with

@@ -72,7 +72,10 @@ val fd : 'm t -> Unix.file_descr
 
 val send : 'm t -> dst:Proc_id.t -> 'm -> unit
 val broadcast : 'm t -> 'm -> unit
-(** To every team member except [self]. *)
+(** To every team member except [self]: encoded once, then one batch
+    entry per peer reading the same bytes (an impaired peer's held
+    frame is its own copy). A batch without room for every peer's
+    entry is flushed first. *)
 
 val flush : 'm t -> unit
 (** Transmit the accumulated outbound batch. The node driver calls

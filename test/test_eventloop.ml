@@ -180,6 +180,49 @@ let prop_wheel_all_fire_once =
       ignore (Eventloop.Timer_wheel.advance w ~to_:1000);
       !fired = List.length ats && Eventloop.Timer_wheel.pending w = 0)
 
+(* [next_expiry] keeps the earliest expiry rather than folding the
+   table: under any mix of arming, cancelling and advancing it must
+   equal the minimum over the timers still pending *)
+let prop_wheel_next_expiry_is_min =
+  QCheck.Test.make ~name:"next_expiry is the earliest pending expiry"
+    QCheck.(
+      list_of_size (Gen.int_range 1 80) (pair (int_range 0 2) (int_range 0 300)))
+    (fun ops ->
+      let tick = 7 in
+      let w = Eventloop.Timer_wheel.create ~wheel_size:16 ~tick () in
+      let live = ref [] in
+      List.for_all
+        (fun (op, x) ->
+          let now = Eventloop.Timer_wheel.now w in
+          (match op with
+          | 0 ->
+            let at = now + x in
+            let expiry =
+              tick * Stdlib.max ((at + tick - 1) / tick) ((now / tick) + 1)
+            in
+            let id = Eventloop.Timer_wheel.schedule w ~at ignore in
+            live := (id, expiry) :: !live
+          | 1 -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let id, _ = List.nth l (x mod List.length l) in
+              ignore (Eventloop.Timer_wheel.cancel w id);
+              live := List.filter (fun (i, _) -> i <> id) l)
+          | _ ->
+            let to_ = now + (x / 4) in
+            ignore (Eventloop.Timer_wheel.advance w ~to_);
+            let reached = Eventloop.Timer_wheel.now w in
+            live := List.filter (fun (_, e) -> e > reached) !live);
+          let want =
+            List.fold_left
+              (fun acc (_, e) ->
+                Some (match acc with None -> e | Some a -> Stdlib.min a e))
+              None !live
+          in
+          Eventloop.Timer_wheel.next_expiry w = want)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Threaded dispatcher *)
 
@@ -353,6 +396,7 @@ let () =
             test_wheel_past_deadline_fires_next_tick;
           Alcotest.test_case "reentrant" `Quick test_wheel_reentrant_schedule;
           qcheck prop_wheel_all_fire_once;
+          qcheck prop_wheel_next_expiry_is_min;
         ] );
       ( "threaded",
         [

@@ -586,9 +586,187 @@ let test_eager_decisions_deliver_faster () =
     | Some s -> s.Stats.p50
     | None -> Alcotest.fail "no deliveries"
   in
-  let paced = latency (Params.make ~n:5 ()) 13 in
-  let eager = latency (Params.make ~eager_decisions:true ~n:5 ()) 13 in
+  let paced = latency (Params.make ~pacing:Paced ~n:5 ()) 13 in
+  let eager = latency (Params.make ~pacing:Eager ~n:5 ()) 13 in
   check Alcotest.bool "eager is faster" true (eager < paced)
+
+(* A crashed member must stay out until it is heard again. At N=7 its
+   last control message can be younger than the N*(D+delta) alive
+   window when a view drops it (N*delta > 2D), so the excluding view
+   must also forget it, or a decider readmits it while it is down.
+   Random crash/recovery churn, never more than (N-1)/2 down, as in
+   E5b. *)
+let test_no_readmission_while_down () =
+  let n = 7 in
+  let down_views seed =
+    let svc = make ~seed ~n () in
+    let engine = Service.engine svc in
+    let count = ref 0 in
+    Service.on_view svc (fun _proc v ->
+        if Proc_set.exists (fun p -> not (Engine.is_up engine p)) v.Service.group
+        then incr count);
+    let svc = Harness.Run.settle svc in
+    let rng = Rng.create (seed * 7919) in
+    let t = ref (Service.now svc) in
+    let horizon = Time.add !t (Time.of_sec 6) in
+    let crashed = ref Proc_set.empty in
+    while Time.compare !t horizon < 0 do
+      t := Time.add !t (Time.of_ms (200 + Rng.int rng 800));
+      let p = pid (Rng.int rng n) in
+      if Proc_set.mem p !crashed then begin
+        crashed := Proc_set.remove p !crashed;
+        Service.recover_at svc !t p
+      end
+      else if Proc_set.cardinal !crashed < (n - 1) / 2 then begin
+        crashed := Proc_set.add p !crashed;
+        Service.crash_at svc !t p
+      end
+    done;
+    Proc_set.iter (fun p -> Service.recover_at svc horizon p) !crashed;
+    Service.run svc ~until:(Time.add horizon (Time.of_sec 6));
+    !count
+  in
+  List.iter
+    (fun seed ->
+      check Alcotest.int
+        (Fmt.str "seed %d: views installed with a down member" seed)
+        0 (down_views seed))
+    [ 41; 42; 43 ]
+
+(* ------------------------------------------------------------------ *)
+(* decision pacing *)
+
+(* With nothing to order an adaptive decider waits D, so an idle group
+   runs the paced execution message for message: the paper's
+   zero-overhead point *)
+let test_adaptive_idle_equals_paced () =
+  let run pacing =
+    let params = Params.make ~pacing ~n:5 () in
+    let svc = Harness.Run.service ~seed:17 ~params ~n:5 () in
+    let svc = Harness.Run.settle svc in
+    Service.run svc ~until:(Time.add (Service.now svc) (Time.of_sec 4));
+    ( Harness.Run.counters_snapshot svc,
+      List.map
+        (fun (p, v) ->
+          ( Proc_id.to_int p,
+            v.Service.at,
+            Fmt.str "%a" Group_id.pp v.Service.group_id ))
+        (Service.views_installed svc) )
+  in
+  let paced_counters, paced_views = run Params.Paced in
+  let adaptive_counters, adaptive_views = run Params.Adaptive in
+  check Alcotest.(list (pair string int)) "same message counts" paced_counters
+    adaptive_counters;
+  check Alcotest.(list (triple int int string)) "same views" paced_views
+    adaptive_views
+
+(* The decide timer of a decider that takes the role from a state
+   transfer stamped [st_ts] at [t], as it moves. A proposal from p2 is
+   received at each offset of [arrivals] (relative to [t]; negative:
+   stored before the role was taken). Returns the [at_clock] of every
+   decide-timer arming, as offsets from [t], and the decision the
+   timer's expiry broadcasts. *)
+let decide_timer_trace ~params ~st_ts ~arrivals =
+  let a = Member.automaton (Member.config ~initial_app:() params) in
+  let t = Time.of_sec 1 in
+  let s, _ = a.Engine.init ~self:(pid 1) ~n:5 ~clock:Time.zero ~incarnation:0 in
+  let proposal seq =
+    Control_msg.Proposal_msg
+      (Proposal.make ~origin:(pid 2) ~seq
+         ~semantics:Semantics.{ ordering = Total; atomicity = Weak }
+         ~send_ts:t ~hdo:(-1) seq)
+  in
+  let receive (s, effects) (clock, msg, src) =
+    let s, more = a.Engine.on_receive s ~clock ~src msg in
+    (s, effects @ List.map (fun e -> (clock, e)) more)
+  in
+  let transfer =
+    Control_msg.State_transfer
+      {
+        st_ts = Time.add t st_ts;
+        st_group = Proc_set.full ~n:5;
+        st_group_id = Group_id.form ~epoch:0;
+        st_oal = Oal.empty;
+        st_app = ();
+        st_buffers = Buffers.empty;
+      }
+  in
+  let events =
+    List.mapi (fun seq off -> (Time.add t off, proposal seq, pid 2)) arrivals
+    @ [ (t, transfer, pid 0) ]
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Time.compare a b)
+  in
+  let s, effects = List.fold_left receive (s, []) events in
+  (* the decide timer is the one armed together with Became_decider *)
+  let key =
+    let rec find = function
+      | (_, Engine.Set_timer { key; _ })
+        :: (_, Engine.Observe Member.Became_decider)
+        :: _ ->
+        key
+      | _ :: rest -> find rest
+      | [] -> Alcotest.fail "never became decider"
+    in
+    find effects
+  in
+  let armed =
+    List.filter_map
+      (function
+        | _, Engine.Set_timer { key = k; at_clock } when k = key ->
+          Some (Time.sub at_clock t)
+        | _ -> None)
+      effects
+  in
+  let fire = Time.add t (List.nth armed (List.length armed - 1)) in
+  let _, fired = a.Engine.on_timer s ~clock:fire ~key in
+  let decision =
+    List.find_map
+      (function Engine.Broadcast (Control_msg.Decision d) -> Some d | _ -> None)
+      fired
+  in
+  (armed, decision)
+
+let test_adaptive_decide_timer () =
+  let ms = Time.of_ms in
+  let adaptive = Params.make ~n:5 () in
+  let times = Alcotest.(list int) in
+  (* previous decision at t-2ms: the floor is t+8ms, the paced deadline
+     t+30ms; only the first unordered proposal moves the timer *)
+  let armed, decision =
+    decide_timer_trace ~params:adaptive ~st_ts:(ms (-2)) ~arrivals:[ ms 1; ms 2 ]
+  in
+  check times "floor: previous decision + delta" [ ms 30; ms 8 ] armed;
+  (match decision with
+  | Some d ->
+    check Alcotest.int "decision sent at the floor"
+      (Time.add (Time.of_sec 1) (ms 8))
+      d.Control_msg.d_ts;
+    check Alcotest.int "both proposals ordered" 2
+      (List.length (Oal.entries d.Control_msg.d_oal))
+  | None -> Alcotest.fail "timer expiry sent no decision");
+  let armed, _ =
+    decide_timer_trace ~params:adaptive ~st_ts:(ms (-2)) ~arrivals:[ ms 20 ]
+  in
+  check times "floor passed: at once" [ ms 30; ms 20 ] armed;
+  let armed, _ =
+    decide_timer_trace ~params:adaptive ~st_ts:(ms (-2)) ~arrivals:[ ms (-5) ]
+  in
+  check times "held when taking the role" [ ms 8 ] armed;
+  let armed, _ =
+    decide_timer_trace ~params:adaptive ~st_ts:(ms (-20)) ~arrivals:[ ms (-5) ]
+  in
+  check times "held, floor passed" [ Time.zero ] armed;
+  let armed, _ =
+    decide_timer_trace
+      ~params:(Params.make ~d:(ms 5) ~n:5 ())
+      ~st_ts:(ms (-2)) ~arrivals:[ ms 1 ]
+  in
+  check times "never after the paced deadline" [ ms 5; ms 5 ] armed;
+  let armed, _ =
+    decide_timer_trace ~params:(Params.make ~pacing:Paced ~n:5 ())
+      ~st_ts:(ms (-2)) ~arrivals:[ ms 1 ]
+  in
+  check times "paced ignores proposals" [ ms 30 ] armed
 
 (* ------------------------------------------------------------------ *)
 (* safety properties (Section 3) under randomized churn *)
@@ -760,6 +938,8 @@ let () =
           Alcotest.test_case "double crash" `Quick test_double_crash_reconfiguration;
           Alcotest.test_case "minority blocked" `Quick test_minority_cannot_form_group;
           Alcotest.test_case "mass recovery" `Quick test_majority_restored_after_mass_recovery;
+          Alcotest.test_case "no readmission while down" `Quick
+            test_no_readmission_while_down;
         ] );
       ( "partitions",
         [
@@ -796,6 +976,13 @@ let () =
           Alcotest.test_case "no fast path" `Quick test_no_fast_path_still_recovers;
           Alcotest.test_case "eager decisions" `Quick
             test_eager_decisions_deliver_faster;
+        ] );
+      ( "decision pacing",
+        [
+          Alcotest.test_case "idle adaptive runs as paced" `Quick
+            test_adaptive_idle_equals_paced;
+          Alcotest.test_case "adaptive decide timer" `Quick
+            test_adaptive_decide_timer;
         ] );
       ( "churn properties",
         [

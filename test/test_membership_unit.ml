@@ -26,7 +26,8 @@ let test_params_defaults () =
   check Alcotest.int "alive window = N slots" (Time.of_ms 200)
     (Params.alive_window p);
   check Alcotest.int "majority" 3 (Params.majority p);
-  check Alcotest.int "late bound" (Time.of_ms 13) (Params.late_bound p)
+  check Alcotest.int "late bound" (Time.of_ms 13) (Params.late_bound p);
+  check Alcotest.bool "adaptive pacing" true (p.Params.pacing = Params.Adaptive)
 
 let test_params_validation () =
   let raises f =

@@ -1190,6 +1190,72 @@ let test_batch_flush_on_pressure () =
           (List.length (raw_recv_n peer ~expect:1)))
   end
 
+(* A broadcast is encoded once and every peer reads the same bytes, on
+   both send paths, also when it meets a batch with one slot left *)
+let test_broadcast_identical_bytes () =
+  if not Runtime.Mmsg.supported then ()
+  else begin
+    let run ~batching ~port =
+      let stats = Stats.create () in
+      let encodes = ref 0 in
+      let encode_to ~sender m w =
+        incr encodes;
+        toy_encode ~sender m w
+      in
+      let t =
+        Transport.create ~encode_to ~decode:toy_decode ~batching
+          ~self:(pid 0) ~n:3
+          ~port_of:(fun p -> port + Proc_id.to_int p)
+          ~stats ()
+      in
+      let p1 = raw_receiver (port + 1) in
+      let p2 = raw_receiver (port + 2) in
+      Fun.protect
+        ~finally:(fun () ->
+          Transport.close t;
+          Unix.close p1;
+          Unix.close p2)
+        (fun () ->
+          for i = 1 to Runtime.Mmsg.slots - 1 do
+            Transport.send t ~dst:(pid 1) i
+          done;
+          for i = 1 to 5 do
+            Transport.broadcast t (1000 + i)
+          done;
+          Transport.flush t;
+          let f1 = raw_recv_n p1 ~expect:(Runtime.Mmsg.slots + 4) in
+          let f2 = raw_recv_n p2 ~expect:5 in
+          ( List.filteri (fun i _ -> i >= Runtime.Mmsg.slots - 1) f1,
+            f2,
+            (Stats.count stats "live:sent", !encodes) ))
+    in
+    let bcast_batched, p2_batched, sent_batched =
+      run ~batching:true ~port:(raw_base_port + 40)
+    in
+    let bcast_fallback, p2_fallback, sent_fallback =
+      run ~batching:false ~port:(raw_base_port + 44)
+    in
+    Alcotest.(check int) "peer 1 got every broadcast" 5
+      (List.length bcast_batched);
+    Alcotest.(check (list string)) "peers read the same bytes (batched)"
+      bcast_batched p2_batched;
+    Alcotest.(check (list string)) "peers read the same bytes (fallback)"
+      bcast_fallback p2_fallback;
+    Alcotest.(check (list string)) "both paths send the same bytes"
+      bcast_batched bcast_fallback;
+    Alcotest.(check (list (pair int int))) "one copy sent per peer, one encode"
+      [ (Runtime.Mmsg.slots + 9, Runtime.Mmsg.slots + 4);
+        (Runtime.Mmsg.slots + 9, Runtime.Mmsg.slots + 4) ]
+      [ sent_batched; sent_fallback ];
+    List.iteri
+      (fun i frame ->
+        let b = Bytes.of_string frame in
+        match toy_decode b ~pos:0 ~len:(Bytes.length b) with
+        | Ok (_, m) -> Alcotest.(check int) "broadcast order" (1001 + i) m
+        | Error _ -> Alcotest.fail "broadcast frame does not decode")
+      bcast_batched
+  end
+
 (* TW_MMSG=0 must force the portable path when no explicit batching
    override is given *)
 let test_env_disables_batching () =
@@ -1397,6 +1463,8 @@ let () =
         [
           Alcotest.test_case "batched and fallback wire bytes identical" `Quick
             test_batched_fallback_identical;
+          Alcotest.test_case "broadcast copies are byte-identical" `Quick
+            test_broadcast_identical_bytes;
           Alcotest.test_case "full batch flushes itself" `Quick
             test_batch_flush_on_pressure;
           Alcotest.test_case "TW_MMSG=0 forces the fallback" `Quick
