@@ -7,7 +7,7 @@
                                   accepted as a synonym)
      bench/main.exe e3            one experiment
      bench/main.exe quick e3      one experiment, reduced
-     bench/main.exe micro         microbenchmarks + M1/M2/M3 macrobenches
+     bench/main.exe micro         microbenchmarks + M1/M3 macrobenches
      bench/main.exe m3            the M3 N=64/256 receive-rate bench alone
      bench/main.exe topology      the topology-shaped chaos sweep: per-
                                   scenario convergence-time distributions
@@ -22,15 +22,15 @@
    DESIGN.md section 5 for the experiment index. Unknown ids exit 1
    before any target runs, so a typo'd CI invocation fails loudly.
 
-   The micro target additionally runs the M1 engine-throughput, M2
-   64-member and M3 64/256-member membership macrobenchmarks plus
-   the per-kind codec microbenchmarks. The micro, topology, live-chaos
-   and live-perf targets record what they measured in
-   BENCH_engine.json in the current directory (schema v8, DESIGN.md
-   section 5): each writes only its own keys, replacing the micro and
-   codec_micro snapshots and appending to the run series, and stamps
-   every row with quick, rev and cpus. A file that does not parse
-   stops the bench with its bytes untouched.
+   The micro target additionally runs the M1 engine-throughput and M3
+   64/256-member membership macrobenchmarks plus the per-kind codec
+   microbenchmarks. The micro, topology, live-chaos and live-perf
+   targets record what they measured in BENCH_engine.json in the
+   current directory (schema v9, DESIGN.md section 5): each writes
+   only its own keys, replacing the micro and codec_micro snapshots
+   and appending to the run series, and stamps every row with quick,
+   rev and cpus. A file that does not parse stops the bench with its
+   bytes untouched.
 
    Perf gates run with the micro target and fail the process:
    - every fixed-shape wire kind must encode with zero minor-heap
@@ -498,14 +498,8 @@ let engine_throughput ~quick =
    regression (or a debug build) trips it *)
 let m1_floor_events_per_sec = 1_000_000.0
 
-let m2_throughput ~quick =
-  let seconds = if quick then 3 else 10 in
-  best_of_3
-    (fun () -> Harness.Member_bench.run ~seconds ())
-    (fun r -> r.Harness.Member_bench.events_per_sec)
-
-(* M3: one run per N — the receive-rate and false-suspicion numbers
-   are seed-deterministic, so repetition buys nothing. *)
+(* M3: one run per N — every figure but wall time is fixed by the
+   seed, so repetition buys nothing. *)
 let m3_sizes = [ 64; 256 ]
 
 (* The gated flatness bound: each member receives about one decision
@@ -543,7 +537,7 @@ let m3_table rows =
       ~columns:
         [
           "members"; "formed"; "form (sim s)"; "recv/member/s"; "false susp.";
-          "events/sec";
+          "events"; "events/sec"; "minor words/event";
         ]
   in
   List.iter
@@ -555,12 +549,15 @@ let m3_table rows =
           Harness.Table.cell_f r.form_sim_seconds;
           Harness.Table.cell_f r.receives_per_member_per_sec;
           string_of_int r.false_suspicions;
+          string_of_int r.events;
           Harness.Table.cell_f r.events_per_sec;
+          Fmt.str "%.1f" r.minor_words_per_event;
         ])
     rows;
   Harness.Table.note table
-    "faultless steady state, fixed seed; recv/member/s is flat in N (about \
-     one decision per rotation step; gated at 256 <= 1.5x 64)";
+    "faultless steady state over oracle clocks, fixed seed: every column \
+     but events/sec is seed-fixed; recv/member/s is flat in N (about one \
+     decision per rotation step; gated at 256 <= 1.5x 64)";
   table
 
 let measure_m3 ~quick =
@@ -587,33 +584,12 @@ let engine_run_record (tput : Harness.Engine_bench.result) =
       ("minor_words_per_event", Float tput.minor_words_per_event);
     ]
 
-let m2_run_record (r : Harness.Member_bench.result) =
-  let open Harness.Bench_json in
-  Obj
-    [
-      ( "workload",
-        String "64-member formation + faultless steady state, fixed seed" );
-      ("n", Int r.Harness.Member_bench.n);
-      ("form_sim_seconds", Float r.form_sim_seconds);
-      ("form_wall_seconds", Float r.form_wall_seconds);
-      ("sim_seconds", Float r.sim_seconds);
-      ("wall_seconds", Float r.wall_seconds);
-      ("sends", Int r.sends);
-      ("deliveries", Int r.deliveries);
-      ("events", Int r.events);
-      ("events_per_sec", Float r.events_per_sec);
-      ("minor_words_per_event", Float r.minor_words_per_event);
-    ]
-
 let m3_run_record (r : Harness.M3_bench.result) =
   let open Harness.Bench_json in
   Obj
     [
       ( "workload",
         String "large-N formation + faultless steady state, fixed seed" );
-      (* every decision goes to all members; the field keeps this row
-         comparable with earlier m3_runs rows, which hold two modes *)
-      ("mode", String "all-to-all");
       ("n", Int r.n);
       ("formed", Bool r.formed);
       ("form_sim_seconds", Float r.form_sim_seconds);
@@ -625,6 +601,7 @@ let m3_run_record (r : Harness.M3_bench.result) =
       ("false_suspicions", Int r.false_suspicions);
       ("events", Int r.events);
       ("events_per_sec", Float r.events_per_sec);
+      ("minor_words_per_event", Float r.minor_words_per_event);
     ]
 
 (* Topology sweeps: per-scenario convergence-time distributions under
@@ -779,7 +756,7 @@ let series ~quick rows old =
   | Some (Harness.Bench_json.List prior) -> Harness.Bench_json.List (prior @ rows)
   | _ -> Harness.Bench_json.List rows
 
-(* Each target writes only the keys it measured (schema v8, DESIGN.md
+(* Each target writes only the keys it measured (schema v9, DESIGN.md
    section 5); every other key of the file is kept as it was. *)
 let record updates =
   List.iter
@@ -789,7 +766,7 @@ let record updates =
       | Error msg ->
         Fmt.epr "not recording results: %s@." msg;
         exit 1)
-    (("schema", fun _ -> Harness.Bench_json.String "timewheel/bench-engine/v8")
+    (("schema", fun _ -> Harness.Bench_json.String "timewheel/bench-engine/v9")
     :: updates);
   Fmt.pr "wrote %s (%s)@." bench_json_file
     (String.concat ", " (List.map fst updates))
@@ -847,25 +824,6 @@ let run_micro ~quick () =
   Harness.Table.note table
     "deterministic workload: event counts are seed-fixed, only wall time varies";
   Harness.Table.print table;
-  Fmt.pr "@.=== M2: 64-member group, formation + steady state ===@.@.";
-  let m2 = m2_throughput ~quick in
-  let table =
-    Harness.Table.create ~title:"M2: full protocol stack at n=64"
-      ~columns:[ "metric"; "value" ]
-  in
-  Harness.Table.add_rows table
-    [
-      [ "members"; string_of_int m2.Harness.Member_bench.n ];
-      [ "formation (sim s)"; Harness.Table.cell_f m2.form_sim_seconds ];
-      [ "steady window (sim s)"; Harness.Table.cell_f m2.sim_seconds ];
-      [ "wall seconds (best of 3)"; Harness.Table.cell_f m2.wall_seconds ];
-      [ "sends + deliveries"; string_of_int m2.events ];
-      [ "events/sec"; Harness.Table.cell_f m2.events_per_sec ];
-      [ "minor words/event"; Fmt.str "%.1f" m2.minor_words_per_event ];
-    ];
-  Harness.Table.note table
-    "full membership/broadcast/clocksync stack, faultless; seed-fixed counts";
-  Harness.Table.print table;
   let m3 = measure_m3 ~quick in
   record
     [
@@ -878,7 +836,6 @@ let run_micro ~quick () =
              micro) );
       ("codec_micro", snapshot ~quick (List.map codec_micro_record codec));
       ("engine_runs", series ~quick [ engine_run_record tput ]);
-      ("m2_runs", series ~quick [ m2_run_record m2 ]);
       ("m3_runs", series ~quick (List.map m3_run_record m3));
     ];
   gate

@@ -37,8 +37,6 @@ type state = {
 let timer_beat = 1
 let timer_check = 2
 
-let view_of s = s.view
-
 let alive_of s ~clock =
   Pmap.fold
     (fun p ts acc ->

@@ -40,5 +40,4 @@ type obs =
 type state
 
 val automaton : config -> (state, msg, obs) Engine.automaton
-val view_of : state -> (int * Proc_set.t) option
 val alive_of : state -> clock:Time.t -> Proc_set.t

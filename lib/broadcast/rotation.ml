@@ -13,6 +13,4 @@ let next_decider ~group ~after ~n =
 let is_next_decider ~group ~after ~n p =
   Proc_id.equal p (next_decider ~group ~after ~n)
 
-let expected_after ~group ~decider ~n = next_decider ~group ~after:decider ~n
-
 let cycle_length ~group ~d = Time.mul d (Proc_set.cardinal group)

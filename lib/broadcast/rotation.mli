@@ -19,11 +19,5 @@ val next_decider : group:Proc_set.t -> after:Proc_id.t -> n:int -> Proc_id.t
 val is_next_decider :
   group:Proc_set.t -> after:Proc_id.t -> n:int -> Proc_id.t -> bool
 
-val expected_after :
-  group:Proc_set.t -> decider:Proc_id.t -> n:int -> Proc_id.t
-(** Alias of {!next_decider} expressing the failure detector's view:
-    the process whose control message is expected after the current
-    decider's. *)
-
 val cycle_length : group:Proc_set.t -> d:Time.t -> Time.t
 (** Time for the decider role to make a full turn: |group| * D. *)

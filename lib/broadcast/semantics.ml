@@ -12,7 +12,6 @@ let all =
 
 let unordered_weak = { ordering = Unordered; atomicity = Weak }
 let total_strong = { ordering = Total; atomicity = Strong }
-let timed_strict = { ordering = Timed; atomicity = Strict }
 let equal a b = a.ordering = b.ordering && a.atomicity = b.atomicity
 
 let ordering_to_string = function

@@ -30,9 +30,6 @@ val all : t list
 
 val unordered_weak : t
 val total_strong : t
-val timed_strict : t
 
 val equal : t -> t -> bool
-val ordering_to_string : ordering -> string
-val atomicity_to_string : atomicity -> string
 val pp : t Fmt.t

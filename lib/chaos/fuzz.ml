@@ -1,5 +1,3 @@
-open Tasim
-
 type failure = {
   index : int;
   original : Plan.t;
@@ -18,21 +16,10 @@ type report = {
 
 let default_ops = 8
 
-(* Each plan gets its own seed drawn from a root stream, so plan k is
-   reproducible without generating plans 0..k-1's op lists. *)
-let plan_seeds ~seed ~plans =
-  let root = Rng.create seed in
-  Array.init plans (fun _ -> Rng.int root 1_000_000_000)
-
-let plan_of ~seed ~n ~ops ~index =
-  let seeds = plan_seeds ~seed ~plans:(index + 1) in
-  Plan.generate ~seed:seeds.(index) ~n ~ops
-
 let sweep ?check ?(ops = default_ops) ~seed ~plans ~n () =
-  let seeds = plan_seeds ~seed ~plans in
   let views = ref 0 in
   let failures = ref [] in
-  Array.iteri
+  List.iteri
     (fun index plan_seed ->
       let plan = Plan.generate ~seed:plan_seed ~n ~ops in
       let outcome = Runner.run ?check plan in
@@ -42,7 +29,7 @@ let sweep ?check ?(ops = default_ops) ~seed ~plans ~n () =
         let outcome = Runner.run ?check shrunk in
         failures := { index; original = plan; shrunk; outcome } :: !failures
       end)
-    seeds;
+    (Runner.seeds ~seed ~count:plans);
   {
     seed;
     n;

@@ -27,11 +27,6 @@ type report = {
 val default_ops : int
 (** Ops per generated plan (8). *)
 
-val plan_of : seed:int -> n:int -> ops:int -> index:int -> Plan.t
-(** The [index]-th plan of the sweep with root [seed] — what {!sweep}
-    runs, exposed so a single plan can be regenerated without rerunning
-    the sweep. *)
-
 val sweep :
   ?check:Runner.check -> ?ops:int -> seed:int -> plans:int -> n:int -> unit ->
   report

@@ -9,15 +9,10 @@ module Live_store = Runtime.Live_store
 module Store = Storage.Store
 module L = Runtime.Live
 
-type violation = { at : Time.t; property : string; detail : string }
-
-let pp_violation ppf v =
-  Fmt.pf ppf "[%a] %s: %s" Time.pp v.at v.property v.detail
-
 type outcome = {
   scenario : string;
   seed : int;
-  violations : violation list;
+  violations : Runner.violation list;
   formed_in : Time.t;
   exclusions : Time.t list;
   rejoins : Time.t list;
@@ -38,7 +33,7 @@ let pp_outcome ppf (o : outcome) =
     (List.length o.exclusions)
     (List.length o.rejoins)
     o.persist_failures o.corrupt_restores;
-  List.iter (fun v -> Fmt.pf ppf "@,  %a" pp_violation v) o.violations
+  List.iter (fun v -> Fmt.pf ppf "@,  %a" Runner.pp_violation v) o.violations
 
 type scenario = {
   name : string;
@@ -60,7 +55,7 @@ type ctx = {
   mutable perturbed : Proc_set.t;  (* ever killed or paused *)
   mutable paused : Proc_set.t;
   mutable formed_at : Time.t;
-  mutable violations : violation list;  (* newest first *)
+  mutable violations : Runner.violation list;  (* newest first *)
   mutable exclusions : Time.t list;  (* newest first *)
   mutable rejoins : Time.t list;  (* newest first *)
   mutable bcasts : int;
@@ -68,7 +63,7 @@ type ctx = {
 
 let violate ctx property detail =
   ctx.violations <-
-    { at = Clock.now ctx.clock; property; detail } :: ctx.violations
+    { Runner.at = Clock.now ctx.clock; property; detail } :: ctx.violations
 
 (* Member states of the up, unpaused nodes — the snapshot the
    invariants and agreement checks run over. A paused node's state is
@@ -227,7 +222,7 @@ let check_ratchet ctx =
       | Some prev when not (Group_id.later v.L.group_id ~than:prev) ->
         ctx.violations <-
           {
-            at = v.L.at;
+            Runner.at = v.L.at;
             property = "epoch-ratchet";
             detail =
               Fmt.str "%a installed #%a after #%a" Proc_id.pp v.L.proc
@@ -259,7 +254,7 @@ let check_false_suspicions ctx =
         if not (Proc_set.is_empty missing) then
           ctx.violations <-
             {
-              at = v.L.at;
+              Runner.at = v.L.at;
               property = "false-suspicion";
               detail =
                 Fmt.str "view #%a %a excludes never-perturbed %a" Group_id.pp
@@ -586,18 +581,13 @@ type report = {
 }
 
 let sweep ?(runs = 3) ?(base_port = default_base_port) ~seed scenario =
-  let root = Rng.create seed in
-  let rec draw k acc =
-    if k = 0 then List.rev acc
-    else draw (k - 1) (Rng.int root 1_000_000_000 :: acc)
-  in
   let outcomes =
     List.mapi
       (fun i s ->
         (* each run on its own port stride: sequential runs, but a
            lingering socket must not collide with the next run *)
         scenario.run ~seed:s ~base_port:(base_port + (i * 16)))
-      (draw runs [])
+      (Runner.seeds ~seed ~count:runs)
   in
   let clean = List.filter ok outcomes in
   {

@@ -28,14 +28,10 @@
 
 open Tasim
 
-type violation = { at : Time.t; property : string; detail : string }
-
-val pp_violation : violation Fmt.t
-
 type outcome = {
   scenario : string;
   seed : int;
-  violations : violation list;  (** empty iff the run is clean *)
+  violations : Runner.violation list;  (** empty iff the run is clean *)
   formed_in : Time.t;  (** start -> first agreed full view *)
   exclusions : Time.t list;
       (** kill (or pause) -> agreed survivor view, per fault *)

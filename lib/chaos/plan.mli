@@ -98,7 +98,6 @@ val shrink_op : op -> op list
     probabilities, delays — each down to a floor; instantaneous ops
     have none), for {!Shrink.shrink_params}. *)
 
-val pp_op : op Fmt.t
 val pp : t Fmt.t
 
 val to_json : t -> Harness.Bench_json.t

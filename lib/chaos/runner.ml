@@ -16,6 +16,10 @@ type check = Harness.Run.svc -> Invariant.violation list
 let pp_violation ppf v =
   Fmt.pf ppf "[%a] %s: %s" Time.pp v.at v.property v.detail
 
+let seeds ~seed ~count =
+  let root = Rng.create seed in
+  List.init count (fun _ -> Rng.int root 1_000_000_000)
+
 let default_check (svc : Harness.Run.svc) =
   let engine = Service.engine svc in
   Invariant.check_all ~n:(Engine.n engine) (Invariant.take engine)

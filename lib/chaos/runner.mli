@@ -41,6 +41,11 @@ type check = Harness.Run.svc -> Timewheel.Invariant.violation list
 
 val pp_violation : violation Fmt.t
 
+val seeds : seed:int -> count:int -> int list
+(** The [count] per-run seeds of a sweep with root [seed]: run k gets
+    the k-th draw of one root stream, so it is reproducible without
+    running runs 0..k-1. *)
+
 val run :
   ?params:Timewheel.Params.t ->
   ?probe:(Harness.Run.svc -> unit) ->

@@ -247,17 +247,11 @@ type report = {
 
 let run_one scenario ~seed = Runner.run ?params:scenario.params (scenario.plan ~seed)
 
-(* Per-run seeds come off a root stream, Fuzz-style, so run k is
-   reproducible without running 0..k-1. *)
-let run_seeds ~seed ~runs =
-  let root = Rng.create seed in
-  Array.init runs (fun _ -> Rng.int root 1_000_000_000)
-
 let sweep ?(runs = 5) ~seed (scenario : scenario) =
   let failures = ref [] in
   let formed = ref [] in
   let reconverged = ref [] in
-  Array.iter
+  List.iter
     (fun run_seed ->
       let plan = scenario.plan ~seed:run_seed in
       let outcome = Runner.run ?params:scenario.params plan in
@@ -268,7 +262,7 @@ let sweep ?(runs = 5) ~seed (scenario : scenario) =
         | None -> ()
       end
       else failures := { seed = run_seed; plan; outcome } :: !failures)
-    (run_seeds ~seed ~runs);
+    (Runner.seeds ~seed ~count:runs);
   {
     scenario;
     root_seed = seed;

@@ -76,11 +76,6 @@ let reading t ~now_local =
     | None -> None
     | Some offset -> Some (Time.add now_local offset)
 
-let reading_exn t ~now_local =
-  match reading t ~now_local with
-  | Some v -> v
-  | None -> invalid_arg "Sync_clock.reading_exn: clock not synchronized"
-
 let local_of_sync t ~sync ~now_local =
   let st = status t ~now_local in
   if not st.synchronized then None

@@ -53,8 +53,6 @@ val reading : t -> now_local:Time.t -> Time.t option
 (** The synchronized clock value at local (hardware) clock time
     [now_local]; [None] when not synchronized. *)
 
-val reading_exn : t -> now_local:Time.t -> Time.t
-
 val local_of_sync : t -> sync:Time.t -> now_local:Time.t -> Time.t option
 (** Translate a synchronized-clock target back to local hardware clock
     time (for arming timers); [None] when not synchronized. *)

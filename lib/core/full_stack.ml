@@ -35,11 +35,6 @@ type ('u, 'app) state = {
 }
 
 let member s = s.member
-let sync_state s = s.cs
-
-let is_synchronized s ~now_local =
-  Clocksync.Protocol.sync_reading s.cs ~now_local <> None
-
 let submit ~semantics payload = Gc (Member.submit ~semantics payload)
 
 let sync_clock_of s = Clocksync.Protocol.sync_clock s.cs

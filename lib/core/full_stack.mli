@@ -53,5 +53,3 @@ val submit : semantics:Broadcast.Semantics.t -> 'u -> ('u, 'app) msg
 val member : ('u, 'app) state -> ('u, 'app) Member.state option
 (** [None] until the clock first synchronizes. *)
 
-val sync_state : ('u, 'app) state -> Clocksync.Protocol.state
-val is_synchronized : ('u, 'app) state -> now_local:Time.t -> bool

@@ -37,17 +37,6 @@ type directive =
   | Adopt_decision
   | Enter_join
 
-let pp_directive ppf = function
-  | Send_no_decision { suspect; _ } ->
-    Fmt.pf ppf "send-no-decision(%a)" Proc_id.pp suspect
-  | Exclude_and_decide { suspect } ->
-    Fmt.pf ppf "exclude-and-decide(%a)" Proc_id.pp suspect
-  | Take_over_decider -> Fmt.string ppf "take-over-decider"
-  | Resend_last_control -> Fmt.string ppf "resend-last-control"
-  | Start_reconfiguration -> Fmt.string ppf "start-reconfiguration"
-  | Adopt_decision -> Fmt.string ppf "adopt-decision"
-  | Enter_join -> Fmt.string ppf "enter-join"
-
 let i_am_suspect_successor env suspect =
   match Proc_set.successor_in env.group suspect ~n:env.n with
   | Some p -> Proc_id.equal p env.self

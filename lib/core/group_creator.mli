@@ -86,5 +86,3 @@ val step :
   env -> Creator_state.t -> event -> Creator_state.t * directive list
 (** One transition of Fig. 2. Events that the current state ignores
     return the state unchanged with no directives. *)
-
-val pp_directive : directive Fmt.t

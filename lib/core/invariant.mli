@@ -3,16 +3,7 @@
     Machine-checkable statements of the protocol's safety claims,
     evaluated over a snapshot of every member's state. The property
     tests and experiment E5b sample these during randomized churn; any
-    violation is a protocol bug, never load-dependent noise.
-
-    - {!ordinals_consistent} is the heart of the broadcast/membership
-      coupling: ordinals are assigned by exactly one decider at a time,
-      so two members may disagree on what they have {e seen} but never
-      on what an ordinal {e means}. A dual-decider bug shows up here
-      first.
-    - {!views_consistent} is Section 3's property (2) restricted to
-      up-to-date members.
-    - {!groups_majority} is Section 3's property (5). *)
+    violation is a protocol bug, never load-dependent noise. *)
 
 open Tasim
 
@@ -28,34 +19,22 @@ type violation = {
 
 val pp_violation : violation Fmt.t
 
-val ordinals_consistent :
-  (Proc_id.t * ('u, 'app) Member.state) list -> violation list
-(** Among up-to-date members of the newest group: for every ordinal
-    present in two oals, the entries carry the same body (same
-    proposal / same membership change). Stale epochs are out of scope:
-    they may hold void assignments from a decider that crashed before
-    anyone heard it, and their holders are excluded and rejoin with a
-    fresh replica. *)
-
-val views_consistent :
-  n:int -> (Proc_id.t * ('u, 'app) Member.state) list -> violation list
-(** Any two up-to-date members (ring states, holding a group containing
-    themselves) with the same group id hold the same group; and the
-    newest group id is held identically by all up-to-date members that
-    reached it. *)
-
-val groups_majority :
-  n:int -> (Proc_id.t * ('u, 'app) Member.state) list -> violation list
-(** Every group currently held by a member that belongs to it contains
-    a majority of the team. *)
-
-val epochs_monotone :
-  (Proc_id.t * ('u, 'app) Member.state) list -> violation list
-(** Within every member's oal, membership descriptors carry strictly
-    increasing (lexicographic) group ids in ordinal order: a view
-    change either increments seq within an epoch or moves to a later
-    epoch's formation. Catches old-epoch views surviving past a
-    re-formation (the chaos-11 class of bug). *)
-
 val check_all :
   n:int -> (Proc_id.t * ('u, 'app) Member.state) list -> violation list
+(** Every violation of the four properties:
+    - ordinal consistency, the heart of the broadcast/membership
+      coupling: among up-to-date members of the newest group, an
+      ordinal present in two oals carries the same body. Ordinals are
+      assigned by one decider at a time, so two members may disagree
+      on what they have {e seen} but never on what an ordinal
+      {e means}; a dual-decider bug shows up here first.
+    - view consistency, Section 3's property (2) restricted to
+      up-to-date members: two of them with the same group id hold the
+      same group, and the newest group id is held identically by all
+      that reached it.
+    - majority, Section 3's property (5): every group held by one of
+      its members contains a majority of the team.
+    - epoch monotonicity: within every member's oal, membership
+      descriptors carry strictly increasing group ids in ordinal order
+      (catches an old-epoch view surviving a re-formation, the
+      chaos-11 class of bug). *)

@@ -19,8 +19,6 @@ let current_own_slot_start (p : Params.t) ~self ~now =
   let s = index p now in
   if Proc_id.equal (owner p s) self then Some (start_of p s) else None
 
-let slot_of_sender p ~sent_at = index p sent_at
-
 let in_last_k_slots p ~now ~sent_at ~k =
   (* a message k slots back is still within the "last k slots": with one
      message per cycle, a peer's latest message is exactly N-1 slots old

@@ -26,10 +26,6 @@ val current_own_slot_start :
   Params.t -> self:Proc_id.t -> now:Time.t -> Time.t option
 (** Start of [self]'s slot when [now] lies inside it. *)
 
-val slot_of_sender : Params.t -> sent_at:Time.t -> int
-(** Slot index during which a message with the given send timestamp was
-    sent. *)
-
 val in_last_k_slots : Params.t -> now:Time.t -> sent_at:Time.t -> k:int -> bool
 (** Was [sent_at] within the last [k] slots (inclusive of the current
     one)? *)

@@ -3,14 +3,6 @@ open Broadcast
 
 type category = Lost | Orphan_order | Orphan_atomicity | Unknown_dependency
 
-let category_to_string = function
-  | Lost -> "lost"
-  | Orphan_order -> "orphan-order"
-  | Orphan_atomicity -> "orphan-atomicity"
-  | Unknown_dependency -> "unknown-dependency"
-
-let pp_category ppf c = Fmt.string ppf (category_to_string c)
-
 module Id_map = Proposal.Id_map
 
 let classify ~oal ~departed ~highest_known_ordinal =

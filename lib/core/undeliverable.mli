@@ -26,9 +26,6 @@ open Broadcast
 
 type category = Lost | Orphan_order | Orphan_atomicity | Unknown_dependency
 
-val category_to_string : category -> string
-val pp_category : category Fmt.t
-
 val classify :
   oal:Oal.t ->
   departed:Proc_set.t ->

@@ -60,18 +60,9 @@ let run ?(seconds = 10) ?(seed = 42) () =
   Engine.run engine ~until:(Time.of_sec seconds);
   let wall = Unix.gettimeofday () -. t0 in
   let m1 = Gc.minor_words () in
-  let stats = Engine.stats engine in
-  let total prefix =
-    let lp = String.length prefix in
-    List.fold_left
-      (fun acc (name, v) ->
-        if String.length name >= lp && String.sub name 0 lp = prefix then
-          acc + v
-        else acc)
-      0 (Stats.counters stats)
-  in
-  let sends = total "sent:" in
-  let deliveries = total "delivered:" in
+  let counters = Stats.counters (Engine.stats engine) in
+  let sends = Run.sum_prefixed counters ~prefixes:[ "sent:" ] in
+  let deliveries = Run.sum_prefixed counters ~prefixes:[ "delivered:" ] in
   let events = sends + deliveries + !timer_fires in
   {
     sim_seconds = float_of_int seconds;

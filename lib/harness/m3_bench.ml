@@ -13,15 +13,8 @@ type result = {
   false_suspicions : int;
   events : int;
   events_per_sec : float;
+  minor_words_per_event : float;
 }
-
-let total counters prefix =
-  let lp = String.length prefix in
-  List.fold_left
-    (fun acc (name, v) ->
-      if String.length name >= lp && String.sub name 0 lp = prefix then acc + v
-      else acc)
-    0 counters
 
 let run ?(n = 256) ?(seconds = 3) ?(seed = 42) () =
   let params = Params.make ~pacing:Paced ~n () in
@@ -49,16 +42,20 @@ let run ?(n = 256) ?(seconds = 3) ?(seed = 42) () =
       false_suspicions = !suspicions;
       events = 0;
       events_per_sec = 0.0;
+      minor_words_per_event = 0.0;
     }
   else begin
     let before = Run.counters_snapshot svc in
     let until = Time.add (Service.now svc) (Time.of_sec seconds) in
+    Gc.minor ();
+    let m0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Service.run svc ~until;
     let wall = Unix.gettimeofday () -. t0 in
+    let m1 = Gc.minor_words () in
     let diff = Run.counters_diff ~before ~after:(Run.counters_snapshot svc) in
-    let sends = total diff "sent:" in
-    let receives = total diff "delivered:" in
+    let sends = Run.sum_prefixed diff ~prefixes:[ "sent:" ] in
+    let receives = Run.sum_prefixed diff ~prefixes:[ "delivered:" ] in
     let events = sends + receives in
     {
       n;
@@ -73,5 +70,7 @@ let run ?(n = 256) ?(seconds = 3) ?(seed = 42) () =
       false_suspicions = !suspicions;
       events;
       events_per_sec = (if wall > 0.0 then float_of_int events /. wall else 0.0);
+      minor_words_per_event =
+        (if events > 0 then (m1 -. m0) /. float_of_int events else 0.0);
     }
   end

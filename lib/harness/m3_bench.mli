@@ -1,7 +1,9 @@
 (** M3 macrobenchmark: membership at N=64/256.
 
-    Forms an [n]-member group and runs [seconds] of faultless steady
-    state. The quantity of interest is the per-member receive rate.
+    Forms an [n]-member group (membership and broadcast over
+    {!Timewheel.Service.Oracle} clocks, so no clock-sync protocol runs)
+    and runs [seconds] of faultless steady state. The quantity of
+    interest is the per-member receive rate.
     Every decision reaches every member directly, but only one decision
     is in flight at a time: the decider role rotates one member per
     decision. Each member therefore receives about one decision per
@@ -10,7 +12,10 @@
     frames grows with [n].
 
     The run is faultless, so every suspicion observed is a false
-    positive and is counted as such. *)
+    positive and is counted as such.
+
+    Every figure but the two wall times and [events_per_sec] is fixed
+    by the seed, so one run per [n] is enough. *)
 
 type result = {
   n : int;
@@ -27,6 +32,9 @@ type result = {
           false) *)
   events : int;  (** sends + deliveries in the window *)
   events_per_sec : float;
+  minor_words_per_event : float;
+      (** {!Gc.minor_words} over the window per event: the protocol's
+          allocation at a large group *)
 }
 
 val run : ?n:int -> ?seconds:int -> ?seed:int -> unit -> result

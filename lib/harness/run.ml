@@ -58,19 +58,16 @@ let counters_diff ~before ~after =
       if v - prev <> 0 then Some (name, v - prev) else None)
     after
 
-let sent_matching counters ~prefixes =
+let sum_prefixed counters ~prefixes =
   List.fold_left
     (fun acc (name, v) ->
-      match String.index_opt name ':' with
-      | Some i when String.sub name 0 i = "sent" ->
-        let kind = String.sub name (i + 1) (String.length name - i - 1) in
-        if List.exists (fun p -> String.length kind >= String.length p
-                                 && String.sub kind 0 (String.length p) = p)
-             prefixes
-        then acc + v
-        else acc
-      | Some _ | None -> acc)
+      if List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+      then acc + v
+      else acc)
     0 counters
+
+let sent_matching counters ~prefixes =
+  sum_prefixed counters ~prefixes:(List.map (( ^ ) "sent:") prefixes)
 
 type view_change = {
   victim_gone : Time.t option;

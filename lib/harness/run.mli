@@ -31,6 +31,10 @@ val counters_snapshot : svc -> (string * int) list
 val counters_diff :
   before:(string * int) list -> after:(string * int) list -> (string * int) list
 
+val sum_prefixed : (string * int) list -> prefixes:string list -> int
+(** Sum of the counters whose name starts with one of the given
+    prefixes; each counter is counted once. *)
+
 val sent_matching : (string * int) list -> prefixes:string list -> int
 (** Sum of ["sent:<kind>"] counters whose kind has one of the given
     prefixes. *)

@@ -593,11 +593,6 @@ let encode_to pc ~sender msg w =
   write_frame pc ~sender msg w;
   Wire.pos w
 
-let encode_into pc ~sender msg buf ~pos =
-  let w = Wire.writer_into buf ~pos in
-  write_frame pc ~sender msg w;
-  Wire.pos w
-
 let decode_window pc data ~pos ~len =
   if len < 3 then Error Truncated
   else if data.[pos] <> magic0 || data.[pos + 1] <> magic1 then Error Bad_magic

@@ -71,19 +71,6 @@ val encode_to :
     Raises [Wire.Error] when a fixed writer overflows. Not re-entrant:
     one encode at a time per domain. *)
 
-val encode_into :
-  ('u, 'app) payload ->
-  sender:Proc_id.t ->
-  ('u, 'app) Timewheel.Full_stack.msg ->
-  Bytes.t ->
-  pos:int ->
-  int
-(** Encode one frame into a caller-owned buffer starting at [pos] and
-    return the frame length. Produces bytes identical to {!encode},
-    allocating nothing when the message's own encoders don't (the
-    transport sends every datagram through one reused scratch buffer
-    this way). Raises [Wire.Error] when the frame does not fit. *)
-
 val decode :
   ('u, 'app) payload ->
   string ->

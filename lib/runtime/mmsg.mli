@@ -12,12 +12,9 @@ val supported : bool
     on exotic kernels and surfaces as [`Unsupported] from the calls
     below; the transport downgrades itself on first sight of it. *)
 
-val env_disabled : unit -> bool
-(** [true] when [TW_MMSG] is set to ["0"], ["off"] or ["false"]. *)
-
 val default_enabled : unit -> bool
-(** [supported && not (env_disabled ())] — the default batching mode
-    for new transports. *)
+(** [supported], unless [TW_MMSG] is set to ["0"], ["off"] or
+    ["false"] — the default batching mode for new transports. *)
 
 val slots : int
 (** Max datagrams per syscall; longer batches take multiple calls. *)

@@ -157,9 +157,6 @@ let reset_reader r ?(pos = 0) ?len data =
   let len = match len with Some l -> l | None -> String.length data - pos in
   reset_window r data ~pos ~len
 
-let reset_reader_bytes r ?pos ?len data =
-  reset_reader r ?pos ?len (Bytes.unsafe_to_string data)
-
 let reader_bytes ?pos ?len data =
   (* zero-copy view: sound because readers never write [data] and every
      caller (the transport drain loop) finishes decoding before it

@@ -89,10 +89,6 @@ val reset_window : reader -> string -> pos:int -> len:int -> unit
     site; the decode hot path re-aims its reader through this
     spelling instead, which allocates nothing. *)
 
-val reset_reader_bytes : reader -> ?pos:int -> ?len:int -> Bytes.t -> unit
-(** {!reset_reader} over a [Bytes.t], zero-copy like
-    {!reader_bytes}. *)
-
 val remaining : reader -> int
 val r_byte : reader -> int
 val r_int : reader -> int

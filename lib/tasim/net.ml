@@ -90,11 +90,6 @@ let set_partition t blocks =
 
 let heal t = t.partition <- None
 
-let partition_of t p =
-  match t.partition with
-  | None -> None
-  | Some blocks -> List.find_opt (Proc_set.mem p) blocks
-
 (* A process absent from every block is an implicit singleton block:
    it can reach itself and nobody else. The old behaviour dropped even
    the self-loop and, more importantly, was undocumented — topology

@@ -100,9 +100,6 @@ val set_partition : 'm t -> Proc_set.t list -> unit
 val heal : 'm t -> unit
 (** Remove any partition. *)
 
-val partition_of : 'm t -> Proc_id.t -> Proc_set.t option
-(** The block containing the process, when a partition is installed. *)
-
 val add_filter :
   'm t ->
   ?max_drops:int ->

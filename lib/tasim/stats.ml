@@ -86,10 +86,6 @@ let samples t name =
         fill (s.len - 1) s.values;
         arr)
 
-let series_names t =
-  locked t (fun () -> Hashtbl.fold (fun name _ acc -> name :: acc) t.series [])
-  |> List.sort String.compare
-
 type summary = {
   n : int;
   mean : float;
@@ -138,10 +134,6 @@ let summarize values =
   end
 
 let summary_of t name = summarize (samples t name)
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.1f p50=%.1f p95=%.1f max=%.1f" s.n s.mean s.p50
-    s.p95 s.max
 
 let merge dst src =
   (* Snapshot [src] under its own lock, then fold into [dst] under

@@ -54,8 +54,6 @@ val record_time : t -> string -> Time.t -> unit
 val samples : t -> string -> float array
 (** Samples in insertion order; empty when none recorded. *)
 
-val series_names : t -> string list
-
 (** {1 Summaries} *)
 
 type summary = {
@@ -73,7 +71,6 @@ val summarize : float array -> summary option
 (** [None] on an empty array. *)
 
 val summary_of : t -> string -> summary option
-val pp_summary : summary Fmt.t
 
 val merge : t -> t -> unit
 (** [merge dst src] folds [src]'s counters and samples into [dst]. *)

@@ -63,6 +63,3 @@ let pp_event ppf = function
   | Recovered p -> Fmt.pf ppf "%a RECOVER" Proc_id.pp p
 
 let pp_entry ppf e = Fmt.pf ppf "[%a] %a" Time.pp e.at pp_event e.event
-
-let pp_timeline ppf t =
-  List.iter (fun e -> Fmt.pf ppf "%a@." pp_entry e) (entries t)

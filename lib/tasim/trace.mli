@@ -43,5 +43,3 @@ val count :
 
 val clear : t -> unit
 val pp_entry : entry Fmt.t
-val pp_timeline : t Fmt.t
-(** Renders every entry, one per line, oldest first. *)

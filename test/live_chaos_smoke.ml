@@ -39,7 +39,7 @@ let () =
         List.iter
           (fun v ->
             Fmt.epr "live chaos smoke: FAIL [%s] %a@." sc.Chaos.Live.name
-              Chaos.Live.pp_violation v)
+              Chaos.Runner.pp_violation v)
           outcome.Chaos.Live.violations
       end)
     Chaos.Live.scenarios;

@@ -53,7 +53,28 @@ let test_sent_matching () =
   check Alcotest.int "multi" 13
     (Harness.Run.sent_matching counters ~prefixes:[ "decision"; "join" ]);
   check Alcotest.int "all" 13
-    (Harness.Run.sent_matching counters ~prefixes:[ "" ])
+    (Harness.Run.sent_matching counters ~prefixes:[ "" ]);
+  check Alcotest.int "one family" 9
+    (Harness.Run.sum_prefixed counters ~prefixes:[ "delivered:" ]);
+  check Alcotest.int "counted once" 13
+    (Harness.Run.sum_prefixed counters ~prefixes:[ "sent:d"; "sent:" ])
+
+(* ------------------------------------------------------------------ *)
+(* M3: every figure but wall time is fixed by the seed, so two runs of
+   the same group agree exactly, allocation included *)
+
+let test_m3_seed_fixed () =
+  let run () = Harness.M3_bench.run ~n:64 ~seconds:3 () in
+  let a = run () and b = run () in
+  check Alcotest.bool "formed" true a.formed;
+  check Alcotest.bool "formed twice" a.formed b.formed;
+  check (Alcotest.float 0.0) "form sim seconds" a.form_sim_seconds
+    b.form_sim_seconds;
+  check Alcotest.int "receives" a.receives b.receives;
+  check Alcotest.int "events" a.events b.events;
+  check Alcotest.int "false suspicions" a.false_suspicions b.false_suspicions;
+  check (Alcotest.float 0.0) "minor words/event" a.minor_words_per_event
+    b.minor_words_per_event
 
 (* ------------------------------------------------------------------ *)
 (* Bench_json: the minimal JSON emitter/parser behind BENCH_engine.json
@@ -374,6 +395,8 @@ let () =
           Alcotest.test_case "counters diff" `Quick test_counters_diff;
           Alcotest.test_case "sent matching" `Quick test_sent_matching;
         ] );
+      ( "m3",
+        [ Alcotest.test_case "seed-fixed figures" `Quick test_m3_seed_fixed ] );
       ( "bench json",
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;

@@ -247,26 +247,14 @@ let round_trip =
 
 let scratch_writer = Wire.writer ()
 
-let encode_into_identical =
+let encode_to_identical =
   QCheck.Test.make ~count:500
-    ~name:"encode_into/encode_to produce encode's exact bytes"
-    QCheck.(pair arb_frame (QCheck.make (QCheck.Gen.int_bound 64)))
-    (fun ((sender, msg), pos) ->
+    ~name:"encode_to produces encode's exact bytes" arb_frame
+    (fun (sender, msg) ->
       let reference = Codec.encode pc ~sender msg in
-      let len = String.length reference in
-      (* encode_into at an arbitrary offset; slack after the frame is
-         scratch (the length varint is staged wide then blitted down),
-         but bytes before [pos] must never be touched *)
-      let buf = Bytes.make (pos + len + 64) '\xAA' in
-      let written = Codec.encode_into pc ~sender msg buf ~pos in
-      let into_ok =
-        written = len
-        && String.equal (Bytes.sub_string buf pos len) reference
-        && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub buf 0 pos)
-      in
       (* encode_to on a shared, reused writer *)
-      let written' = Codec.encode_to pc ~sender msg scratch_writer in
-      into_ok && written' = len
+      let written = Codec.encode_to pc ~sender msg scratch_writer in
+      written = String.length reference
       && String.equal (Wire.contents scratch_writer) reference)
 
 let encode_to_zero_alloc () =
@@ -1411,7 +1399,7 @@ let () =
       ( "codec",
         [
           qcheck round_trip;
-          qcheck encode_into_identical;
+          qcheck encode_to_identical;
           Alcotest.test_case "encode_to allocates nothing (steady kinds)"
             `Quick encode_to_zero_alloc;
           Alcotest.test_case "decode_bytes reads a window in place" `Quick
