@@ -608,7 +608,7 @@ let m3_run_record (r : Harness.M3_bench.result) =
    shaped chaos (lib/chaos/topology.ml). Distributions are emitted in
    seconds; a missing formation/reconvergence field means no clean run
    produced that sample. *)
-let topology_dist_fields name (d : Chaos.Topology.dist option) =
+let topology_dist_fields name (d : Stats.summary option) =
   let open Harness.Bench_json in
   match d with
   | None -> []
@@ -617,12 +617,12 @@ let topology_dist_fields name (d : Chaos.Topology.dist option) =
       ( name,
         Obj
           [
-            ("samples", Int d.Chaos.Topology.samples);
-            ("min_s", Float (Time.to_sec_f d.min));
-            ("p50_s", Float (Time.to_sec_f d.p50));
-            ("p90_s", Float (Time.to_sec_f d.p90));
-            ("max_s", Float (Time.to_sec_f d.max));
-            ("mean_s", Float (Time.to_sec_f d.mean));
+            ("samples", Int d.Stats.n);
+            ("min_s", Float d.min);
+            ("p50_s", Float d.p50);
+            ("p90_s", Float d.p90);
+            ("max_s", Float d.max);
+            ("mean_s", Float d.mean);
           ] );
     ]
 
@@ -647,7 +647,7 @@ let live_chaos_run_record (r : Chaos.Live.report) =
   let outcomes = r.Chaos.Live.outcomes in
   let clean = List.filter Chaos.Live.ok outcomes in
   let formation =
-    Chaos.Topology.dist_of
+    Chaos.Topology.seconds
       (List.map (fun (o : Chaos.Live.outcome) -> o.Chaos.Live.formed_in) clean)
   in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
@@ -858,8 +858,8 @@ let topology_root_seed = 42
 (* p50 and p90 cells of a distribution, in seconds; "-" without samples *)
 let p50_p90_cells = function
   | None -> [ "-"; "-" ]
-  | Some (d : Chaos.Topology.dist) ->
-    List.map (fun t -> Harness.Table.cell_f (Time.to_sec_f t)) [ d.p50; d.p90 ]
+  | Some (d : Stats.summary) ->
+    List.map Harness.Table.cell_f [ d.p50; d.p90 ]
 
 let run_topology ~quick () =
   Fmt.pr "@.=== Topology: convergence under shaped chaos ===@.@.";

@@ -19,11 +19,12 @@
 open Cmdliner
 open Tasim
 open Broadcast
+open Timewheel
 open Runtime
 
-let pp_view ppf (v : Live.view) =
-  Fmt.pf ppf "[%a] %a installed view #%a %a" Time.pp v.Live.at Proc_id.pp
-    v.Live.proc Group_id.pp v.Live.group_id Proc_set.pp v.Live.group
+let print_view proc at ~group ~group_id =
+  Fmt.pr "[%a] %a installed view #%a %a@." Time.pp at Proc_id.pp proc
+    Group_id.pp group_id Proc_set.pp group
 
 let print_stats nodes =
   List.iter
@@ -71,41 +72,26 @@ let demo_once n base_port no_batch kill_spec kill_after restart_after duration
       ?batching:(if no_batch then Some false else None)
       ()
   in
-  let recorder = Live.recorder () in
+  let delivered = ref 0 in
+  let on_obs proc at = function
+    | Full_stack.Member_obs (Member.View_installed { group; group_id }) ->
+      print_view proc at ~group ~group_id
+    | Full_stack.Member_obs (Member.Delivered _) -> incr delivered
+    | _ -> ()
+  in
   let on_log =
     if verbose then Some (fun p line -> Fmt.epr "%a| %s@." Proc_id.pp p line)
     else None
   in
-  let clock, cluster = Live.in_process cfg ~recorder ?on_log () in
+  let clock, cluster = Live.in_process cfg ~on_obs ?on_log () in
   (* release the ports whatever happens — a supervised restart rebinds *)
   Fun.protect ~finally:(fun () -> List.iter Node.kill (Cluster.nodes cluster))
   @@ fun () ->
-  let seen = ref 0 in
-  let drain_views () =
-    (* recorder lists are newest-first; print the suffix we have not
-       shown yet, oldest first *)
-    let views = recorder.Live.views in
-    let fresh = List.filteri (fun i _ -> i < List.length views - !seen) views in
-    List.iter (Fmt.pr "%a@." pp_view) (List.rev fresh);
-    seen := List.length views
-  in
-  let run_span span =
-    let deadline = Time.add (Clock.now clock) span in
-    let rec go () =
-      ignore
-        (Cluster.run_until cluster ~deadline
-           ~poll_cap:(Time.of_ms 50) (fun () ->
-             drain_views ();
-             false));
-      if Time.compare (Clock.now clock) deadline < 0 then go ()
-    in
-    go ()
-  in
   Cluster.start cluster;
   Fmt.pr "started %d members on 127.0.0.1:%d-%d@." n base_port
     (base_port + n - 1);
 
-  run_span kill_after;
+  Cluster.run_for cluster ~span:kill_after;
   let victim =
     match kill_spec with
     | None -> None
@@ -122,7 +108,7 @@ let demo_once n base_port no_batch kill_spec kill_after restart_after duration
   | Some p ->
     Node.kill (Cluster.node cluster p);
     Fmt.pr "killed %a at %a@." Proc_id.pp p Time.pp (Clock.now clock);
-    run_span restart_after;
+    Cluster.run_for cluster ~span:restart_after;
     Node.restart (Cluster.node cluster p);
     Fmt.pr "restarted %a at %a@." Proc_id.pp p Time.pp (Clock.now clock));
 
@@ -137,10 +123,7 @@ let demo_once n base_port no_batch kill_spec kill_after restart_after duration
   ignore
     (Cluster.run_until cluster
        ~deadline:(Time.add (Clock.now clock) duration)
-       ~poll_cap:(Time.of_ms 50)
-       (fun () ->
-         drain_views ();
-         settled ()));
+       ~poll_cap:(Time.of_ms 50) settled);
   for i = 1 to submit do
     Live.submit
       (Cluster.node cluster (Proc_id.of_int ((i - 1) mod n)))
@@ -150,9 +133,7 @@ let demo_once n base_port no_batch kill_spec kill_after restart_after duration
   let deadline = Time.add (Clock.now clock) duration in
   ignore
     (Cluster.run_until cluster ~deadline ~poll_cap:(Time.of_ms 50) (fun () ->
-         drain_views ();
-         submit > 0 && List.length recorder.Live.delivered >= submit * n));
-  drain_views ();
+         submit > 0 && !delivered >= submit * n));
 
   let ok =
     match Live.agreed_view cluster with
@@ -163,11 +144,10 @@ let demo_once n base_port no_batch kill_spec kill_after restart_after duration
       Fmt.pr "final view: members disagree or none installed@.";
       false
   in
-  let delivered = List.length recorder.Live.delivered in
   if submit > 0 then
-    Fmt.pr "deliveries: %d (of %d expected)@." delivered (submit * n);
+    Fmt.pr "deliveries: %d (of %d expected)@." !delivered (submit * n);
   print_stats (Cluster.nodes cluster);
-  if ok && (submit = 0 || delivered = submit * n) then 0 else 1
+  if ok && (submit = 0 || !delivered = submit * n) then 0 else 1
 
 let demo n base_port no_batch kill_spec kill_after restart_after duration
     submit verbose supervise max_restarts =
@@ -193,40 +173,33 @@ let member_once me n base_port no_batch state_dir duration verbose =
       ?batching:(if no_batch then Some false else None)
       ()
   in
-  let recorder = Live.recorder () in
   let clock = Clock.create () in
   let self = Proc_id.of_int me in
+  let on_obs at = function
+    | Full_stack.Member_obs (Member.View_installed { group; group_id }) ->
+      print_view self at ~group ~group_id
+    | _ -> ()
+  in
   let on_log =
     if verbose then Some (fun line -> Fmt.epr "%a| %s@." Proc_id.pp self line)
     else None
   in
-  let node = Live.mk_node cfg ~clock ~self ~recorder ?on_log () in
+  let node = Live.mk_node cfg ~clock ~self ~on_obs ?on_log () in
   let cluster = Cluster.create ~clock ~nodes:[ node ] in
   Fun.protect ~finally:(fun () -> Node.kill node) @@ fun () ->
   Cluster.start cluster;
   Fmt.pr "member %a up on 127.0.0.1:%d (group ports %d-%d)@." Proc_id.pp self
     (base_port + me) base_port
     (base_port + n - 1);
-  let deadline = Time.add (Clock.now clock) duration in
-  let seen = ref 0 in
-  ignore
-    (Cluster.run_until cluster ~deadline ~poll_cap:(Time.of_ms 50) (fun () ->
-         let views = recorder.Live.views in
-         let fresh =
-           List.filteri (fun i _ -> i < List.length views - !seen) views
-         in
-         List.iter (Fmt.pr "%a@." pp_view) (List.rev fresh);
-         seen := List.length views;
-         false));
+  Cluster.run_for cluster ~span:duration;
   (match Live.member_of node with
   | Some m ->
     Fmt.pr "final: view #%a %a (form epoch %d)@." Group_id.pp
-      (Timewheel.Member.group_id m) Proc_set.pp (Timewheel.Member.group m)
-      (Timewheel.Member.form_epoch m)
+      (Member.group_id m) Proc_set.pp (Member.group m) (Member.form_epoch m)
   | None -> Fmt.pr "final: clock never synchronized@.");
   print_stats [ node ];
   match Live.member_of node with
-  | Some m when Timewheel.Member.has_group m -> 0
+  | Some m when Member.has_group m -> 0
   | _ -> 1
 
 let member me n base_port no_batch state_dir duration verbose supervise

@@ -45,11 +45,19 @@ type scenario = {
 (* ---------------------------------------------------------------- *)
 (* driver context *)
 
+type view = {
+  at : Time.t;
+  proc : Proc_id.t;
+  group : Proc_set.t;
+  group_id : Group_id.t;
+}
+
 type ctx = {
   n : int;
   clock : Clock.t;
   cluster : L.cluster;
-  recorder : L.recorder;
+  views : view list ref;  (* every installation of the run, newest first *)
+  deliverers : (string, Proc_id.t list) Hashtbl.t;  (* payload -> who *)
   rng : Rng.t;
   store : Live_store.t;
   mutable perturbed : Proc_set.t;  (* ever killed or paused *)
@@ -77,30 +85,6 @@ let up_states ctx =
       else None)
     (Cluster.nodes ctx.cluster)
 
-(* Stricter than {!L.agreed_view}: every up, unpaused node must hold a
-   member state (a restarted node that has not resynchronized yet is
-   disagreement, not absence), and all must hold the same known view. *)
-let agreed ctx =
-  let nds =
-    List.filter
-      (fun nd -> Node.is_up nd && not (Node.is_paused nd))
-      (Cluster.nodes ctx.cluster)
-  in
-  let states = List.filter_map L.member_of nds in
-  if states = [] || List.length states <> List.length nds then None
-  else
-    let m0 = List.hd states in
-    let g = Member.group m0 and gid = Member.group_id m0 in
-    if
-      Group_id.is_known gid
-      && List.for_all
-           (fun m ->
-             Proc_set.equal (Member.group m) g
-             && Group_id.equal (Member.group_id m) gid)
-           (List.tl states)
-    then Some (g, gid)
-    else None
-
 let wait ?(timeout = Time.of_sec 30) ctx ~property pred =
   let deadline = Time.add (Clock.now ctx.clock) timeout in
   let met =
@@ -112,7 +96,7 @@ let wait ?(timeout = Time.of_sec 30) ctx ~property pred =
 
 let settle ?timeout ctx ~property expected =
   wait ?timeout ctx ~property (fun () ->
-      match agreed ctx with
+      match L.agreed_view ctx.cluster with
       | Some (g, _) -> Proc_set.equal g expected
       | None -> false)
 
@@ -126,11 +110,10 @@ let sample_invariants ctx ~phase =
         (Fmt.str "%s (%s)" v.Invariant.detail phase))
     (Invariant.check_all ~n:ctx.n (up_states ctx))
 
-let delivered_count ctx payload =
-  List.length
-    (List.filter
-       (fun (_, pl) -> String.equal pl payload)
-       ctx.recorder.L.delivered)
+let deliverers ctx payload =
+  Option.value ~default:[] (Hashtbl.find_opt ctx.deliverers payload)
+
+let delivered_count ctx payload = List.length (deliverers ctx payload)
 
 (* End-to-end delivery check with client-style retries: a submission is
    one UDP proposal broadcast with no request-level retransmission, so
@@ -171,10 +154,7 @@ let broadcast_expect ctx label =
                (delivered_count ctx payload)
                expected
                Fmt.(list ~sep:comma Proc_id.pp)
-               (List.filter_map
-                  (fun (p, pl) ->
-                    if String.equal pl payload then Some p else None)
-                  ctx.recorder.L.delivered))
+               (deliverers ctx payload))
   in
   go 1
 
@@ -188,7 +168,7 @@ let kill_restart ?(downtime = Time.of_ms 100) ?(crash = false) ?before_restart
     ctx victim =
   let node = Cluster.node ctx.cluster victim in
   let full = Proc_set.full ~n:ctx.n in
-  let gid0 = Option.map snd (agreed ctx) in
+  let gid0 = Option.map snd (L.agreed_view ctx.cluster) in
   ctx.perturbed <- Proc_set.add victim ctx.perturbed;
   let t_kill = Clock.now ctx.clock in
   Node.kill node;
@@ -202,7 +182,7 @@ let kill_restart ?(downtime = Time.of_ms 100) ?(crash = false) ?before_restart
   Node.restart node;
   (if settle ctx ~property:"rejoin" full then begin
      ctx.rejoins <- Time.sub (Clock.now ctx.clock) t_restart :: ctx.rejoins;
-     match (gid0, agreed ctx) with
+     match (gid0, L.agreed_view ctx.cluster) with
      | Some g0, Some (_, g1) when not (Group_id.later g1 ~than:g0) ->
        violate ctx "group-id-advance"
          (Fmt.str "rejoined at #%a, not later than #%a held at the kill"
@@ -216,22 +196,22 @@ let kill_restart ?(downtime = Time.of_ms 100) ?(crash = false) ?before_restart
 let check_ratchet ctx =
   let last : (int, Group_id.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (v : L.view) ->
-      let p = Proc_id.to_int v.L.proc in
+    (fun v ->
+      let p = Proc_id.to_int v.proc in
       (match Hashtbl.find_opt last p with
-      | Some prev when not (Group_id.later v.L.group_id ~than:prev) ->
+      | Some prev when not (Group_id.later v.group_id ~than:prev) ->
         ctx.violations <-
           {
-            Runner.at = v.L.at;
+            Runner.at = v.at;
             property = "epoch-ratchet";
             detail =
-              Fmt.str "%a installed #%a after #%a" Proc_id.pp v.L.proc
-                Group_id.pp v.L.group_id Group_id.pp prev;
+              Fmt.str "%a installed #%a after #%a" Proc_id.pp v.proc
+                Group_id.pp v.group_id Group_id.pp prev;
           }
           :: ctx.violations
       | _ -> ());
-      Hashtbl.replace last p v.L.group_id)
-    (List.rev ctx.recorder.L.views)
+      Hashtbl.replace last p v.group_id)
+    (List.rev !(ctx.views))
 
 (* A false suspicion is a view-change exclusion (seq > 0 within an
    epoch) of a member that was never killed or paused. Formation views
@@ -243,26 +223,26 @@ let check_false_suspicions ctx =
   let healthy = Proc_set.diff (Proc_set.full ~n:ctx.n) ctx.perturbed in
   let seen : (Group_id.t, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (v : L.view) ->
+    (fun v ->
       if
-        Time.compare v.L.at ctx.formed_at > 0
-        && Group_id.seq v.L.group_id > 0
-        && not (Hashtbl.mem seen v.L.group_id)
+        Time.compare v.at ctx.formed_at > 0
+        && Group_id.seq v.group_id > 0
+        && not (Hashtbl.mem seen v.group_id)
       then begin
-        Hashtbl.add seen v.L.group_id ();
-        let missing = Proc_set.diff healthy v.L.group in
+        Hashtbl.add seen v.group_id ();
+        let missing = Proc_set.diff healthy v.group in
         if not (Proc_set.is_empty missing) then
           ctx.violations <-
             {
-              Runner.at = v.L.at;
+              Runner.at = v.at;
               property = "false-suspicion";
               detail =
                 Fmt.str "view #%a %a excludes never-perturbed %a" Group_id.pp
-                  v.L.group_id Proc_set.pp v.L.group Proc_set.pp missing;
+                  v.group_id Proc_set.pp v.group Proc_set.pp missing;
             }
             :: ctx.violations
       end)
-    ctx.recorder.L.views
+    !(ctx.views)
 
 (* Undo every perturbation so the final convergence check starts from
    a healable cluster whatever the scenario body left behind. *)
@@ -283,14 +263,27 @@ let run_ctx ~name ~n ~seed ~base_port ?params ?store body =
     match store with Some s -> s | None -> Store.in_memory ()
   in
   let cfg = L.config ~n ~base_port ?params ~store () in
-  let recorder = L.recorder () in
-  let clock, cluster = L.in_process cfg ~recorder () in
+  let views = ref [] and deliverers = Hashtbl.create 16 in
+  let on_obs proc at = function
+    | Full_stack.Member_obs (Member.View_installed { group; group_id }) ->
+      views := { at; proc; group; group_id } :: !views
+    | Full_stack.Member_obs (Member.Delivered { proposal; _ }) ->
+      let payload = proposal.Proposal.payload in
+      Hashtbl.replace deliverers payload
+        (proc
+        :: Option.value ~default:[] (Hashtbl.find_opt deliverers payload))
+    | Full_stack.Member_started | Full_stack.Member_obs _
+    | Full_stack.Sync_obs _ ->
+      ()
+  in
+  let clock, cluster = L.in_process cfg ~on_obs () in
   let ctx =
     {
       n;
       clock;
       cluster;
-      recorder;
+      views;
+      deliverers;
       rng = Rng.create seed;
       store;
       perturbed = Proc_set.empty;
@@ -329,7 +322,7 @@ let run_ctx ~name ~n ~seed ~base_port ?params ?store body =
     formed_in;
     exclusions = List.rev ctx.exclusions;
     rejoins = List.rev ctx.rejoins;
-    views = List.length recorder.L.views;
+    views = List.length !views;
     persist_failures = Stats.count stats "live:store:persist-failed";
     corrupt_restores = Stats.count stats "live:store:restore-corrupt";
   }
@@ -527,10 +520,10 @@ let paused_member =
             ignore (settle ctx ~property:"short-pause-stability" full);
             if
               List.exists
-                (fun (v : L.view) ->
-                  Time.compare v.L.at t_pause >= 0
-                  && not (Proc_set.mem p v.L.group))
-                ctx.recorder.L.views
+                (fun v ->
+                  Time.compare v.at t_pause >= 0
+                  && not (Proc_set.mem p v.group))
+                !(ctx.views)
             then
               violate ctx "short-pause-exclusion"
                 (Fmt.str
@@ -576,8 +569,8 @@ type report = {
   root_seed : int;
   runs : int;
   outcomes : outcome list;
-  exclusion : Topology.dist option;
-  rejoin : Topology.dist option;
+  exclusion : Stats.summary option;
+  rejoin : Stats.summary option;
 }
 
 let sweep ?(runs = 3) ?(base_port = default_base_port) ~seed scenario =
@@ -595,8 +588,9 @@ let sweep ?(runs = 3) ?(base_port = default_base_port) ~seed scenario =
     root_seed = seed;
     runs;
     outcomes;
-    exclusion = Topology.dist_of (List.concat_map (fun (o : outcome) -> o.exclusions) clean);
-    rejoin = Topology.dist_of (List.concat_map (fun (o : outcome) -> o.rejoins) clean);
+    exclusion =
+      Topology.seconds (List.concat_map (fun (o : outcome) -> o.exclusions) clean);
+    rejoin = Topology.seconds (List.concat_map (fun (o : outcome) -> o.rejoins) clean);
   }
 
 let report_ok r = List.for_all ok r.outcomes
@@ -606,10 +600,10 @@ let pp_report ppf r =
     (List.length (List.filter ok r.outcomes))
     r.runs;
   (match r.exclusion with
-  | Some d -> Fmt.pf ppf "@,  exclusion %a" Topology.pp_dist d
+  | Some d -> Fmt.pf ppf "@,  exclusion (s) %a" Stats.pp_summary d
   | None -> ());
   (match r.rejoin with
-  | Some d -> Fmt.pf ppf "@,  rejoin    %a" Topology.pp_dist d
+  | Some d -> Fmt.pf ppf "@,  rejoin (s)    %a" Stats.pp_summary d
   | None -> ());
   List.iter
     (fun o -> if not (ok o) then Fmt.pf ppf "@,  %a" pp_outcome o)

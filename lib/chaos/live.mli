@@ -87,10 +87,10 @@ type report = {
   root_seed : int;
   runs : int;
   outcomes : outcome list;  (** in run order *)
-  exclusion : Topology.dist option;
-      (** fault -> agreed survivor view, clean runs pooled *)
-  rejoin : Topology.dist option;
-      (** recovery -> agreed full view, clean runs pooled *)
+  exclusion : Stats.summary option;
+      (** fault -> agreed survivor view in seconds, clean runs pooled *)
+  rejoin : Stats.summary option;
+      (** recovery -> agreed full view in seconds, clean runs pooled *)
 }
 
 val sweep : ?runs:int -> ?base_port:int -> seed:int -> scenario -> report

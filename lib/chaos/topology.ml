@@ -207,33 +207,6 @@ let find name = List.find_opt (fun s -> s.name = name) scenarios
 (* ------------------------------------------------------------------ *)
 (* sweeping and convergence distributions *)
 
-type dist = {
-  samples : int;
-  min : Time.t;
-  p50 : Time.t;
-  p90 : Time.t;
-  max : Time.t;
-  mean : Time.t;
-}
-
-let dist_of = function
-  | [] -> None
-  | times ->
-    let a = Array.of_list times in
-    Array.sort Time.compare a;
-    let k = Array.length a in
-    let total = Array.fold_left Time.add Time.zero a in
-    Some
-      {
-        samples = k;
-        min = a.(0);
-        (* nearest-rank percentiles *)
-        p50 = a.(k / 2);
-        p90 = a.(Stdlib.min (k - 1) (9 * k / 10));
-        max = a.(k - 1);
-        mean = Time.div total k;
-      }
-
 type failure = { seed : int; plan : Plan.t; outcome : Runner.outcome }
 
 type report = {
@@ -241,9 +214,12 @@ type report = {
   root_seed : int;
   runs : int;
   failures : failure list;
-  formation : dist option;
-  reconvergence : dist option;
+  formation : Stats.summary option;
+  reconvergence : Stats.summary option;
 }
+
+let seconds times =
+  Stats.summarize (Array.of_list (List.map Time.to_sec_f times))
 
 let run_one scenario ~seed = Runner.run ?params:scenario.params (scenario.plan ~seed)
 
@@ -268,17 +244,13 @@ let sweep ?(runs = 5) ~seed (scenario : scenario) =
     root_seed = seed;
     runs;
     failures = List.rev !failures;
-    formation = dist_of !formed;
-    reconvergence = dist_of !reconverged;
+    formation = seconds !formed;
+    reconvergence = seconds !reconverged;
   }
 
 let ok report = report.failures = []
 
 let minimize scenario plan = Runner.minimize ?params:scenario.params plan
-
-let pp_dist ppf d =
-  Fmt.pf ppf "n=%d min=%a p50=%a p90=%a max=%a mean=%a" d.samples Time.pp
-    d.min Time.pp d.p50 Time.pp d.p90 Time.pp d.max Time.pp d.mean
 
 let pp_failure ppf f =
   Fmt.pf ppf "@[<v>seed %d:@,%a@,%a@]" f.seed Plan.pp f.plan
@@ -288,7 +260,7 @@ let pp_failure ppf f =
 let pp_report ppf r =
   let pp_opt name ppf = function
     | None -> Fmt.pf ppf "%s: (no samples)" name
-    | Some d -> Fmt.pf ppf "%s: %a" name pp_dist d
+    | Some d -> Fmt.pf ppf "%s (s): %a" name Stats.pp_summary d
   in
   Fmt.pf ppf "@[<v>topology %s (n=%d, root seed %d, %d runs): %s@,%a@,%a%a@]"
     r.scenario.name r.scenario.n r.root_seed r.runs

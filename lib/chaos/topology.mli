@@ -52,19 +52,6 @@ val minimize : scenario -> Plan.t -> Plan.t
 
 (** {1 Sweeps and convergence distributions} *)
 
-type dist = {
-  samples : int;
-  min : Time.t;
-  p50 : Time.t;  (** nearest-rank *)
-  p90 : Time.t;
-  max : Time.t;
-  mean : Time.t;
-}
-
-val dist_of : Time.t list -> dist option
-(** Nearest-rank distribution of a sample list; [None] when empty.
-    Shared with the live chaos driver's recovery-time series. *)
-
 type failure = { seed : int; plan : Plan.t; outcome : Runner.outcome }
 
 type report = {
@@ -72,9 +59,10 @@ type report = {
   root_seed : int;
   runs : int;
   failures : failure list;
-  formation : dist option;
-      (** formation times of the clean runs; [None] when none *)
-  reconvergence : dist option;
+  formation : Stats.summary option;
+      (** formation times of the clean runs, in seconds; [None] when
+          none *)
+  reconvergence : Stats.summary option;
       (** post-fault heal-to-agreed-full-view times of the clean runs
           (cycle-granular, see {!Runner.outcome}) *)
 }
@@ -84,6 +72,9 @@ val sweep : ?runs:int -> seed:int -> scenario -> report
 
 val ok : report -> bool
 
-val pp_dist : dist Fmt.t
+val seconds : Time.t list -> Stats.summary option
+(** The summary of a list of spans, in seconds; [None] when empty.
+    Shared with the live chaos driver's recovery-time series. *)
+
 val pp_failure : failure Fmt.t
 val pp_report : report Fmt.t

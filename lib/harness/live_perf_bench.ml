@@ -1,5 +1,6 @@
 open Tasim
 open Broadcast
+open Timewheel
 open Runtime
 
 (* ------------------------------------------------------------------ *)
@@ -102,7 +103,7 @@ type cluster_result = {
   cl_frames_per_sec : float; (* aggregate across shards *)
   cl_submits : int;
   cl_deliveries : int;
-  cl_false_suspicions : int; (* view changes after formation (faultless) *)
+  cl_false_suspicions : int; (* views installed after formation (faultless) *)
 }
 
 let form_timeout = Time.of_sec 30
@@ -123,8 +124,25 @@ type shard_outcome = {
 
 let run_shard ~n ~seconds ~base_port ?batching ~shard () =
   let cfg = Live.config ~n ~base_port:(base_port + (shard * 64)) ?batching () in
-  let recorder = Live.recorder () in
-  let clock, cluster = Live.in_process cfg ~recorder () in
+  (* payload -> members yet to deliver it *)
+  let pending = Hashtbl.create 16 in
+  let deliveries = ref 0 in
+  let after_formation = ref false in
+  let views_after_formation = Hashtbl.create 4 in
+  let on_obs _proc _at = function
+    | Full_stack.Member_obs (Member.Delivered { proposal; _ }) -> (
+      incr deliveries;
+      let payload = proposal.Proposal.payload in
+      match Hashtbl.find_opt pending payload with
+      | Some 1 -> Hashtbl.remove pending payload
+      | Some k -> Hashtbl.replace pending payload (k - 1)
+      | None -> ())
+    | Full_stack.Member_obs (Member.View_installed { group_id; _ })
+      when !after_formation ->
+      Hashtbl.replace views_after_formation group_id ()
+    | _ -> ()
+  in
+  let clock, cluster = Live.in_process cfg ~on_obs () in
   Fun.protect ~finally:(fun () -> List.iter Node.kill (Cluster.nodes cluster))
   @@ fun () ->
   Cluster.start cluster;
@@ -158,12 +176,10 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_batched = batched;
     }
   else begin
-    let views_at_formation = List.length recorder.Live.views in
+    after_formation := true;
     let frames_at_formation = recv_total () in
-    let seen_deliveries = ref 0 in
     let submits = ref 0 in
     let nodes = Array.of_list (Cluster.nodes cluster) in
-    let pending = Hashtbl.create 16 in
     let submit_one () =
       let payload = Printf.sprintf "s%d-u%d" shard !submits in
       Hashtbl.replace pending payload n;
@@ -175,19 +191,6 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
     let wall_deadline = t0 +. seconds in
     let deadline = Time.add (Clock.now clock) (Time.of_sec 120) in
     let step () =
-      let deliveries = recorder.Live.delivered in
-      let fresh = List.length deliveries - !seen_deliveries in
-      if fresh > 0 then begin
-        List.iteri
-          (fun i (_proc, payload) ->
-            if i < fresh then
-              match Hashtbl.find_opt pending payload with
-              | Some 1 -> Hashtbl.remove pending payload
-              | Some k -> Hashtbl.replace pending payload (k - 1)
-              | None -> ())
-          deliveries;
-        seen_deliveries := List.length deliveries
-      end;
       if Unix.gettimeofday () >= wall_deadline then
         (* stop submitting, run on until everything in flight lands *)
         Hashtbl.length pending = 0
@@ -205,9 +208,8 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_wall = wall;
       sh_frames = recv_total () - frames_at_formation;
       sh_submits = !submits;
-      sh_deliveries = !seen_deliveries;
-      sh_false_suspicions =
-        List.length recorder.Live.views - views_at_formation;
+      sh_deliveries = !deliveries;
+      sh_false_suspicions = Hashtbl.length views_after_formation;
       sh_batched = batched;
     }
   end

@@ -51,7 +51,8 @@ type cluster_result = {
   cl_submits : int;
   cl_deliveries : int;  (** deliveries across all members and shards *)
   cl_false_suspicions : int;
-      (** post-formation view changes (the run is faultless, so any
+      (** distinct views installed after formation, one per view and
+          not per installing member (the run is faultless, so any
           change is a false suspicion) *)
 }
 

@@ -35,31 +35,6 @@ let config ?(base_port = 47800) ?params ?cs_config ?store ?batching ~n () =
   let store = match store with Some s -> s | None -> Live_store.in_memory () in
   { n; base_port; params; cs_config; store; batching }
 
-type view = {
-  at : Time.t;
-  proc : Proc_id.t;
-  group : Proc_set.t;
-  group_id : Group_id.t;
-}
-
-type recorder = {
-  mutable views : view list;
-  mutable delivered : (Proc_id.t * string) list;
-}
-
-let recorder () = { views = []; delivered = [] }
-
-let record recorder ~proc at (o : obs) =
-  match o with
-  | Full_stack.Member_obs (Member.View_installed { group; group_id }) ->
-    recorder.views <- { at; proc; group; group_id } :: recorder.views
-  | Full_stack.Member_obs (Member.Delivered { proposal; _ }) ->
-    recorder.delivered <-
-      (proc, proposal.Proposal.payload) :: recorder.delivered
-  | Full_stack.Member_started | Full_stack.Member_obs _ | Full_stack.Sync_obs _
-    ->
-    ()
-
 let automaton_of cfg =
   let member_cfg =
     Member.config
@@ -71,7 +46,7 @@ let automaton_of cfg =
   in
   Full_stack.automaton member_cfg cfg.cs_config
 
-let mk_node cfg ~clock ~self ?recorder ?on_log () =
+let mk_node cfg ~clock ~self ?on_obs ?on_log () =
   let port_of p = cfg.base_port + Proc_id.to_int p in
   let mk_transport stats =
     Transport.create
@@ -80,21 +55,17 @@ let mk_node cfg ~clock ~self ?recorder ?on_log () =
       ~kind_of:Full_stack.kind_of_msg ?batching:cfg.batching ~self ~n:cfg.n
       ~port_of ~stats ()
   in
-  let on_obs =
-    match recorder with
-    | Some r -> fun at o -> record r ~proc:self at o
-    | None -> fun _ _ -> ()
-  in
-  Node.create ~automaton:(automaton_of cfg) ~clock ~mk_transport ~on_obs
+  Node.create ~automaton:(automaton_of cfg) ~clock ~mk_transport ?on_obs
     ?on_log ()
 
-let in_process cfg ?recorder ?on_log () =
+let in_process cfg ?on_obs ?on_log () =
   let clock = Clock.create () in
   let nodes =
     List.map
       (fun self ->
+        let on_obs = Option.map (fun f -> f self) on_obs in
         let on_log = Option.map (fun f -> f self) on_log in
-        mk_node cfg ~clock ~self ?recorder ?on_log ())
+        mk_node cfg ~clock ~self ?on_obs ?on_log ())
       (Proc_id.all ~n:cfg.n)
   in
   (clock, Cluster.create ~clock ~nodes)
@@ -110,27 +81,29 @@ let decider cluster =
     (Cluster.nodes cluster)
 
 let agreed_view cluster =
-  let members =
+  let views =
     List.filter_map
       (fun node ->
-        if Node.is_up node then
-          Option.map (fun m -> (Member.group m, Member.group_id m))
-            (member_of node)
+        if Node.is_up node && not (Node.is_paused node) then
+          Some
+            (Option.map
+               (fun m -> (Member.group m, Member.group_id m))
+               (member_of node))
         else None)
       (Cluster.nodes cluster)
   in
-  match members with
-  | [] -> None
-  | ((group, group_id) as first) :: rest ->
-    if
-      Group_id.is_known group_id
-      && (not (Proc_set.is_empty group))
-      && List.for_all
-           (fun (g, gid) ->
-             Proc_set.equal g group && Group_id.equal gid group_id)
-           rest
-    then Some first
-    else None
+  match views with
+  | Some ((group, group_id) as first) :: rest
+    when Group_id.is_known group_id
+         && (not (Proc_set.is_empty group))
+         && List.for_all
+              (function
+                | Some (g, gid) ->
+                  Proc_set.equal g group && Group_id.equal gid group_id
+                | None -> false)
+              rest ->
+    Some first
+  | _ -> None
 
 let submit node ~semantics payload =
   Node.inject node (Full_stack.submit ~semantics payload)

@@ -44,31 +44,23 @@ val config :
     scheduling is far noisier than the simulator's), clocksync
     defaults for [n]. *)
 
-(** {1 Observation log} *)
-
-type view = { at : Time.t; proc : Proc_id.t; group : Proc_set.t; group_id : Group_id.t }
-
-type recorder = {
-  mutable views : view list;  (** newest first *)
-  mutable delivered : (Proc_id.t * string) list;  (** newest first *)
-}
-
-val recorder : unit -> recorder
-
 (** {1 Assembly} *)
 
 val mk_node :
   config ->
   clock:Clock.t ->
   self:Proc_id.t ->
-  ?recorder:recorder ->
+  ?on_obs:(Time.t -> obs -> unit) ->
   ?on_log:(string -> unit) ->
   unit ->
   node
+(** [on_obs] is {!Node.create}'s: it sees every observation of this
+    member (views installed, updates delivered, clock-sync events) at
+    its clock reading, as it happens. *)
 
 val in_process :
   config ->
-  ?recorder:recorder ->
+  ?on_obs:(Proc_id.t -> Time.t -> obs -> unit) ->
   ?on_log:(Proc_id.t -> string -> unit) ->
   unit ->
   Clock.t * cluster
@@ -87,8 +79,11 @@ val decider : cluster -> Proc_id.t option
     role. *)
 
 val agreed_view : cluster -> (Proc_set.t * Group_id.t) option
-(** The view every up member agrees on; [None] while they differ (or
-    nobody has one). *)
+(** The view the group agrees on: every up, unpaused node holds a
+    member state, and all of them hold the same known, non-empty view.
+    [None] otherwise — a restarted node that has not resynchronized
+    its clock yet is disagreement, not absence. A paused node is left
+    out: its state is frozen mid-past by design. *)
 
 val submit : node -> semantics:Semantics.t -> string -> unit
 (** Inject a client update at this member (local call path). *)

@@ -92,6 +92,7 @@ type summary = {
   min : float;
   max : float;
   p50 : float;
+  p90 : float;
   p95 : float;
   p99 : float;
   stddev : float;
@@ -127,6 +128,7 @@ let summarize values =
         min = sorted.(0);
         max = sorted.(n - 1);
         p50 = percentile sorted 0.50;
+        p90 = percentile sorted 0.90;
         p95 = percentile sorted 0.95;
         p99 = percentile sorted 0.99;
         stddev;
@@ -134,6 +136,10 @@ let summarize values =
   end
 
 let summary_of t name = summarize (samples t name)
+
+let pp_summary ppf s =
+  Fmt.pf ppf "n=%d min=%.3f p50=%.3f p90=%.3f max=%.3f mean=%.3f" s.n s.min
+    s.p50 s.p90 s.max s.mean
 
 let merge dst src =
   (* Snapshot [src] under its own lock, then fold into [dst] under

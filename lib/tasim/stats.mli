@@ -62,15 +62,20 @@ type summary = {
   min : float;
   max : float;
   p50 : float;
+  p90 : float;
   p95 : float;
   p99 : float;
   stddev : float;
 }
 
 val summarize : float array -> summary option
-(** [None] on an empty array. *)
+(** [None] on an empty array. Percentiles interpolate linearly between
+    the two nearest ranks. *)
 
 val summary_of : t -> string -> summary option
+
+val pp_summary : summary Fmt.t
+(** [n=.. min=.. p50=.. p90=.. max=.. mean=..], in the samples' unit. *)
 
 val merge : t -> t -> unit
 (** [merge dst src] folds [src]'s counters and samples into [dst]. *)

@@ -30,9 +30,16 @@ let () =
   end;
   let n = 5 in
   let cfg = Live.config ~n ~base_port:47900 ~batching:true () in
-  let recorder = Live.recorder () in
+  let hellos = ref 0 in
+  let on_obs _proc _at = function
+    | Timewheel.Full_stack.Member_obs
+        (Timewheel.Member.Delivered { proposal; _ })
+      when proposal.Proposal.payload = "mmsg-hello" ->
+      incr hellos
+    | _ -> ()
+  in
   let clock, cluster =
-    try Live.in_process cfg ~recorder ()
+    try Live.in_process cfg ~on_obs ()
     with Unix.Unix_error (e, _, _) ->
       Fmt.epr "live mmsg smoke: SKIP: cannot open UDP sockets (%s)@."
         (Unix.error_message e);
@@ -93,14 +100,7 @@ let () =
   Live.submit
     (Cluster.node cluster (Proc_id.of_int 0))
     ~semantics:Semantics.total_strong "mmsg-hello";
-  let delivered_everywhere () =
-    List.length
-      (List.filter
-         (fun (_, payload) -> payload = "mmsg-hello")
-         recorder.Live.delivered)
-    = n
-  in
-  if not (until delivered_everywhere) then
+  if not (until (fun () -> !hellos = n)) then
     fail_with "update not delivered by all %d members" n;
 
   (* the frames must actually have moved through the batched syscalls *)

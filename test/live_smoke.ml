@@ -7,7 +7,8 @@
    then restarted and must rejoin — announcing its bumped formation
    epoch from stable storage — ending in a 5-member view with a
    strictly later group id. Every phase has a hard wall-clock bound so
-   a hung run fails rather than wedging CI. *)
+   a hung run fails rather than wedging CI. Views and deliveries are
+   watched through the nodes' [on_obs] callbacks. *)
 
 open Tasim
 open Broadcast
@@ -23,16 +24,31 @@ let fail_with fmt =
       exit 1)
     fmt
 
-let pp_view ppf (v : Live.view) =
-  Fmt.pf ppf "%a %a installed %a #%a" Time.pp v.Live.at Proc_id.pp v.Live.proc
-    Proc_set.pp v.Live.group Group_id.pp v.Live.group_id
-
 let () =
   let n = 5 in
   let cfg = Live.config ~n ~base_port:47800 () in
-  let recorder = Live.recorder () in
+  (* installed views, newest first, printed when a phase fails *)
+  let views = ref [] in
+  let deliveries = Hashtbl.create 4 in
+  let on_obs proc at = function
+    | Full_stack.Member_obs (Member.View_installed { group; group_id }) ->
+      views :=
+        Fmt.str "%a %a installed %a #%a" Time.pp at Proc_id.pp proc
+          Proc_set.pp group Group_id.pp group_id
+        :: !views
+    | Full_stack.Member_obs (Member.Delivered { proposal; _ }) ->
+      let payload = proposal.Proposal.payload in
+      Hashtbl.replace deliveries payload
+        (1 + Option.value ~default:0 (Hashtbl.find_opt deliveries payload))
+    | _ -> ()
+  in
+  let delivered payload =
+    Option.value ~default:0 (Hashtbl.find_opt deliveries payload)
+  in
+  let pp_views ppf () = Fmt.(list ~sep:comma string) ppf (List.rev !views) in
+  let full = Proc_set.full ~n in
   let clock, cluster =
-    try Live.in_process cfg ~recorder ()
+    try Live.in_process cfg ~on_obs ()
     with Unix.Unix_error (e, _, _) ->
       Fmt.epr "live smoke: SKIP: cannot open UDP sockets (%s)@."
         (Unix.error_message e);
@@ -43,18 +59,31 @@ let () =
       ~deadline:(Time.add (Clock.now clock) phase_timeout) pred
   in
 
-  (* phase 1: the five members form the initial group over real UDP *)
-  let full = Proc_set.full ~n in
-  let formed () =
+  (* a restarted member holds no view until it rejoins, so the group
+     does not agree right after a restart, before any poll *)
+  let restart p =
+    Node.restart (Cluster.node cluster p);
     match Live.agreed_view cluster with
-    | Some (group, _) -> Proc_set.equal group full
+    | None -> ()
+    | Some (group, gid) ->
+      fail_with "agreed view %a #%a reported right after %a restarted"
+        Proc_set.pp group Group_id.pp gid Proc_id.pp p
+  in
+  let agreed_on members () =
+    match Live.agreed_view cluster with
+    | Some (group, _) -> Proc_set.equal group members
     | None -> false
   in
-  if not (until formed) then
+  let rejoined ~than () =
+    match Live.agreed_view cluster with
+    | Some (group, gid) -> Proc_set.equal group full && Group_id.later gid ~than
+    | None -> false
+  in
+
+  (* phase 1: the five members form the initial group over real UDP *)
+  if not (until (agreed_on full)) then
     fail_with "initial 5-member group did not form within %a (views: %a)"
-      Time.pp phase_timeout
-      Fmt.(list ~sep:comma pp_view)
-      recorder.Live.views;
+      Time.pp phase_timeout pp_views ();
   let _, gid5 = Option.get (Live.agreed_view cluster) in
   Fmt.pr "live smoke: formed %a #%a at %a@." Proc_set.pp full Group_id.pp gid5
     Time.pp (Clock.now clock);
@@ -71,16 +100,9 @@ let () =
 
   (* phase 3: the survivors elect and install the 4-member view *)
   let survivors = Proc_set.remove victim full in
-  let excluded () =
-    match Live.agreed_view cluster with
-    | Some (group, _) -> Proc_set.equal group survivors
-    | None -> false
-  in
-  if not (until excluded) then
+  if not (until (agreed_on survivors)) then
     fail_with "survivors did not install %a within %a (views: %a)"
-      Proc_set.pp survivors Time.pp phase_timeout
-      Fmt.(list ~sep:comma pp_view)
-      recorder.Live.views;
+      Proc_set.pp survivors Time.pp phase_timeout pp_views ();
   let _, gid4 = Option.get (Live.agreed_view cluster) in
   if not (Group_id.later gid4 ~than:gid5) then
     fail_with "4-member view id %a not later than %a" Group_id.pp gid4
@@ -90,18 +112,10 @@ let () =
 
   (* phase 4: restart the victim; stable storage makes it announce a
      bumped formation epoch and rejoin *)
-  Node.restart (Cluster.node cluster victim);
-  let rejoined () =
-    match Live.agreed_view cluster with
-    | Some (group, gid) ->
-      Proc_set.equal group full && Group_id.later gid ~than:gid4
-    | None -> false
-  in
-  if not (until rejoined) then
+  restart victim;
+  if not (until (rejoined ~than:gid4)) then
     fail_with "killed member did not rejoin within %a (views: %a)" Time.pp
-      phase_timeout
-      Fmt.(list ~sep:comma pp_view)
-      recorder.Live.views;
+      phase_timeout pp_views ();
   let _, gid_final = Option.get (Live.agreed_view cluster) in
   let victim_node = Cluster.node cluster victim in
   (match Live.member_of victim_node with
@@ -123,14 +137,7 @@ let () =
   (* a quick end-to-end broadcast sanity check on the rejoined group *)
   Live.submit (Cluster.node cluster (Proc_id.of_int 0))
     ~semantics:Semantics.total_strong "live-hello";
-  let delivered_everywhere () =
-    List.length
-      (List.filter
-         (fun (_, payload) -> payload = "live-hello")
-         recorder.Live.delivered)
-    = n
-  in
-  if not (until delivered_everywhere) then
+  if not (until (fun () -> delivered "live-hello" = n)) then
     fail_with "update not delivered by all %d members" n;
   Fmt.pr "live smoke: update delivered by all %d members@." n;
 
@@ -149,16 +156,15 @@ let () =
     Proc_id.pp a Proc_id.pp b;
   Live.submit (Cluster.node cluster a) ~semantics:Semantics.total_strong
     "slow-link-hello";
-  let slow_delivered () =
-    List.length
-      (List.filter
-         (fun (_, payload) -> payload = "slow-link-hello")
-         recorder.Live.delivered)
-    = n
-  in
-  if not (until slow_delivered) then
+  if not (until (fun () -> delivered "slow-link-hello" >= n)) then
     fail_with "update not delivered by all %d members over the impaired link"
       n;
+  (* each member delivers it once: run on past the n-th delivery and
+     check that no duplicate arrives *)
+  Cluster.run_for cluster ~span:(Time.of_ms 200);
+  if delivered "slow-link-hello" <> n then
+    fail_with "update delivered %d times, expected exactly %d"
+      (delivered "slow-link-hello") n;
   (match Live.agreed_view cluster with
   | Some (group, _) when Proc_set.equal group full -> ()
   | Some (group, _) ->
@@ -166,6 +172,28 @@ let () =
   | None -> fail_with "no agreed view under the impaired link");
   Transport.clear_impairments (Node.transport (Cluster.node cluster a));
   Fmt.pr "live smoke: impaired-link broadcast delivered, group intact@.";
+
+  (* phase 7: kill and restart a member that is not the clock-sync
+     reference (p0, the usual decider killed above). Right after its
+     restart its clock is unsynchronized, so it has no member state at
+     all while the four others agree on their view: agreement must
+     count it as disagreement, not absence. *)
+  let last = Proc_id.of_int (n - 1) in
+  Node.kill (Cluster.node cluster last);
+  let others = Proc_set.remove last full in
+  if not (until (agreed_on others)) then
+    fail_with "%a was not excluded within %a (views: %a)" Proc_id.pp last
+      Time.pp phase_timeout pp_views ();
+  let _, gid_others = Option.get (Live.agreed_view cluster) in
+  restart last;
+  if Option.is_some (Live.member_of (Cluster.node cluster last)) then
+    fail_with "%a holds a member state before its clock resynchronized"
+      Proc_id.pp last;
+  if not (until (rejoined ~than:gid_others)) then
+    fail_with "%a did not rejoin within %a (views: %a)" Proc_id.pp last
+      Time.pp phase_timeout pp_views ();
+  Fmt.pr "live smoke: %a excluded, restarted and rejoined at %a@." Proc_id.pp
+    last Time.pp (Clock.now clock);
 
   let total name =
     List.fold_left

@@ -341,6 +341,8 @@ let test_stats_summary () =
     check Alcotest.int "n" 5 sum.Stats.n;
     check (Alcotest.float 1e-9) "mean" 3.0 sum.Stats.mean;
     check (Alcotest.float 1e-9) "p50" 3.0 sum.Stats.p50;
+    (* linear interpolation between ranks: 0.9 * 4 = 3.6 -> 4 + 0.6 *)
+    check (Alcotest.float 1e-9) "p90" 4.6 sum.Stats.p90;
     check (Alcotest.float 1e-9) "min" 1.0 sum.Stats.min;
     check (Alcotest.float 1e-9) "max" 5.0 sum.Stats.max
 
