@@ -701,6 +701,8 @@ let live_perf_cluster_record (r : Harness.Live_perf_bench.cluster_result) =
       ("submits", Int r.cl_submits);
       ("deliveries", Int r.cl_deliveries);
       ("false_suspicions", Int r.cl_false_suspicions);
+      ("timer_fires", Int r.cl_timer_fires);
+      ("timer_late_us", Float r.cl_timer_late_us);
     ]
 
 let codec_micro_record row =
@@ -1046,7 +1048,15 @@ let run_live_perf ~quick () =
   let table =
     Harness.Table.create
       ~title:"M4 cluster: full stack under load, sharded across domains"
-      ~columns:[ "shards"; "formed"; "frames/s"; "deliv"; "false susp." ]
+      ~columns:
+        [
+          "shards";
+          "formed";
+          "frames/s";
+          "deliv";
+          "false susp.";
+          "timer late (us)";
+        ]
   in
   let cluster_row (r : Harness.Live_perf_bench.cluster_result) =
     Harness.Table.add_row table
@@ -1056,6 +1066,7 @@ let run_live_perf ~quick () =
         Harness.Table.cell_f r.cl_frames_per_sec;
         string_of_int r.cl_deliveries;
         string_of_int r.cl_false_suspicions;
+        Harness.Table.cell_f r.cl_timer_late_us;
       ]
   in
   cluster_row cluster_1;
@@ -1063,7 +1074,8 @@ let run_live_perf ~quick () =
   Harness.Table.note table
     (Fmt.str
        "%d-member group(s), one per domain, steady totally-ordered updates \
-        (this machine reports %d core(s))"
+        (this machine reports %d core(s)); timer late = mean clock at \
+        on_timer minus due time, per timer fire"
        cluster_1.cl_n
        (Runtime.Cluster.Sharded.recommended ()));
   Harness.Table.print table;

@@ -94,25 +94,10 @@ let fire_bucket t tick =
   List.iter fire due;
   !fired
 
-let advance t ~to_ =
-  let target_tick = to_ / t.tick in
-  let fired = ref 0 in
-  while t.current_tick < target_tick do
-    t.current_tick <- t.current_tick + 1;
-    fired := !fired + fire_bucket t t.current_tick
-  done;
-  (* every timer at or below the current tick has fired *)
-  if t.earliest <= t.current_tick then t.earliest_known <- false;
-  !fired
-
-let pending t = t.pending
-
-let resident t =
-  Array.fold_left (fun acc bucket -> acc + List.length !bucket) 0 t.buckets
-
-(* The fold runs only after the earliest timer fired or was cancelled;
+(* The earliest expiry tick, [max_int] when nothing is pending. The
+   fold runs only after the earliest timer fired or was cancelled;
    arming keeps the minimum itself. *)
-let next_expiry t =
+let earliest_tick t =
   if not t.earliest_known then begin
     t.earliest <-
       Hashtbl.fold
@@ -120,4 +105,39 @@ let next_expiry t =
         t.by_id max_int;
     t.earliest_known <- true
   end;
-  if t.pending = 0 then None else Some (t.earliest * t.tick)
+  t.earliest
+
+(* Jump from due tick to due tick: the ticks between them hold nothing
+   that can fire, so a fine tick costs no walk over empty buckets. A
+   callback may arm a timer at or before the target; it is clamped past
+   the current tick, so the next lookup of the earliest finds it and it
+   fires in this same advance, as a tick-by-tick walk would fire it. *)
+let advance t ~to_ =
+  let target_tick = to_ / t.tick in
+  let rec go fired =
+    if t.current_tick >= target_tick then fired
+    else begin
+      let next = earliest_tick t in
+      if next > target_tick then begin
+        t.current_tick <- target_tick;
+        fired
+      end
+      else begin
+        t.current_tick <- next;
+        let fired = fired + fire_bucket t next in
+        (* every timer at or below the current tick has fired *)
+        t.earliest_known <- false;
+        go fired
+      end
+    end
+  in
+  go 0
+
+let pending t = t.pending
+
+let resident t =
+  Array.fold_left (fun acc bucket -> acc + List.length !bucket) 0 t.buckets
+
+let next_expiry t =
+  let earliest = earliest_tick t in
+  if t.pending = 0 then None else Some (earliest * t.tick)

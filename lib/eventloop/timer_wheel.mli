@@ -37,8 +37,12 @@ val cancel : t -> timer_id -> bool
 
 val advance : t -> to_:int -> int
 (** Move wheel time forward to [to_], firing every timer whose expiry
-    was reached, in expiry order within each tick. Returns the number
-    of timers fired. Time never moves backwards. *)
+    was reached, in expiry order and, within a tick, in arming order.
+    Returns the number of timers fired. Time never moves backwards,
+    and no timer fires before its [at]. The wheel jumps from one due
+    tick to the next, so the cost does not grow with the number of
+    empty ticks crossed: a fine tick is as cheap to advance as a
+    coarse one. *)
 
 val pending : t -> int
 (** Number of armed, not-yet-fired, not-cancelled timers. *)

@@ -104,6 +104,8 @@ type cluster_result = {
   cl_submits : int;
   cl_deliveries : int;
   cl_false_suspicions : int; (* views installed after formation (faultless) *)
+  cl_timer_fires : int;
+  cl_timer_late_us : float; (* mean per fire *)
 }
 
 let form_timeout = Time.of_sec 30
@@ -119,6 +121,8 @@ type shard_outcome = {
   sh_submits : int;
   sh_deliveries : int;
   sh_false_suspicions : int;
+  sh_timer_fires : int;
+  sh_timer_late_us : int; (* summed *)
   sh_batched : bool;
 }
 
@@ -160,11 +164,14 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
   let batched =
     Transport.batched (Node.transport (List.hd (Cluster.nodes cluster)))
   in
-  let recv_total () =
+  let total name =
     List.fold_left
-      (fun acc node -> acc + Stats.count (Node.stats node) "live:recv")
+      (fun acc node -> acc + Stats.count (Node.stats node) name)
       0 (Cluster.nodes cluster)
   in
+  let recv_total () = total "live:recv" in
+  let fires_total () = total "live:sched:timer-fires" in
+  let late_total () = total "live:sched:timer-late-us" in
   if not sh_formed then
     {
       sh_formed = false;
@@ -173,11 +180,15 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_submits = 0;
       sh_deliveries = 0;
       sh_false_suspicions = 0;
+      sh_timer_fires = 0;
+      sh_timer_late_us = 0;
       sh_batched = batched;
     }
   else begin
     after_formation := true;
     let frames_at_formation = recv_total () in
+    let fires_at_formation = fires_total () in
+    let late_at_formation = late_total () in
     let submits = ref 0 in
     let nodes = Array.of_list (Cluster.nodes cluster) in
     let submit_one () =
@@ -210,6 +221,8 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_submits = !submits;
       sh_deliveries = !deliveries;
       sh_false_suspicions = Hashtbl.length views_after_formation;
+      sh_timer_fires = fires_total () - fires_at_formation;
+      sh_timer_late_us = late_total () - late_at_formation;
       sh_batched = batched;
     }
   end
@@ -222,6 +235,12 @@ let cluster ?(n = 5) ?(shards = 1) ?(seconds = 2.0) ?(base_port = 49600)
   in
   let wall = List.fold_left (fun acc o -> Float.max acc o.sh_wall) 0.0 outcomes in
   let frames = List.fold_left (fun acc o -> acc + o.sh_frames) 0 outcomes in
+  let fires =
+    List.fold_left (fun acc o -> acc + o.sh_timer_fires) 0 outcomes
+  in
+  let late =
+    List.fold_left (fun acc o -> acc + o.sh_timer_late_us) 0 outcomes
+  in
   {
     cl_n = n;
     cl_shards = shards;
@@ -236,4 +255,7 @@ let cluster ?(n = 5) ?(shards = 1) ?(seconds = 2.0) ?(base_port = 49600)
       List.fold_left (fun acc o -> acc + o.sh_deliveries) 0 outcomes;
     cl_false_suspicions =
       List.fold_left (fun acc o -> acc + o.sh_false_suspicions) 0 outcomes;
+    cl_timer_fires = fires;
+    cl_timer_late_us =
+      (if fires > 0 then float_of_int late /. float_of_int fires else 0.0);
   }

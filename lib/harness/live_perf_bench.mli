@@ -54,6 +54,14 @@ type cluster_result = {
       (** distinct views installed after formation, one per view and
           not per installing member (the run is faultless, so any
           change is a false suspicion) *)
+  cl_timer_fires : int;
+      (** timers that reached [on_timer] in the window, across members
+          and shards ([live:sched:timer-fires]) *)
+  cl_timer_late_us : float;
+      (** mean lateness of those fires: clock at [on_timer] minus the
+          timer's due time, in µs ([live:sched:timer-late-us] over
+          [cl_timer_fires]); the dispatcher and timer wheel's share of
+          every timed step *)
 }
 
 val cluster :

@@ -50,11 +50,19 @@ let run_until t ~deadline ?(poll_cap = Time.of_ms 100) pred =
           (Time.add now poll_cap) t.nodes
       in
       let next = Time.min next deadline in
-      let timeout = select_timeout ~progressed:(progress > 0) ~now ~next in
+      (* the pass and the predicate took time: sleep from the clock as
+         it reads now, not as it read when the pass began. A deadline
+         that fell due during the pass is one the next pass retires,
+         so it re-polls at once rather than sleeping the floor. *)
+      let timeout =
+        select_timeout
+          ~progressed:(progress > 0 || Time.compare next now > 0)
+          ~now:(Clock.now t.clock) ~next
+      in
       (* poll(2), not select: no FD_SETSIZE cap on descriptor values,
          which a many-socket multi-domain process blows through. The
-         timeout policy is unchanged; ms conversion rounds up so the
-         anti-busy-spin floor survives the coarser unit. *)
+         wait is in microseconds, so the loop wakes when the deadline
+         is due rather than on the next whole millisecond. *)
       let live =
         Array.of_list
           (List.filter_map
@@ -63,7 +71,7 @@ let run_until t ~deadline ?(poll_cap = Time.of_ms 100) pred =
       in
       let fds = Array.map fst live in
       let revents = Array.make (Array.length live) 0 in
-      match Poll.wait ~fds ~revents ~timeout_ms:(Poll.ms_of_span timeout) with
+      match Poll.wait ~fds ~revents ~timeout_us:(Poll.us_of_span timeout) with
       | Error (`Intr | `Error) -> ()
       | Ok _ready ->
         Array.iteri

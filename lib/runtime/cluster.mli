@@ -40,15 +40,16 @@ val run_until :
 (** Drive the loop until the predicate holds (checked once per
     iteration, after polling) or the monotonic clock passes
     [deadline]. Returns [true] iff the predicate was met. [poll_cap]
-    (default 100 ms) bounds each select sleep so predicate changes
+    (default 100 ms) bounds each poll sleep so predicate changes
     caused by external action (kill/restart from a signal handler,
     say) are noticed promptly. *)
 
 val select_timeout : progressed:bool -> now:Time.t -> next:Time.t -> float
-(** The select sleep (seconds) given the earliest pending deadline
+(** The poll sleep (seconds) given the earliest pending deadline
     [next] and whether the last poll pass did any work. A future
-    [next] sleeps until it; an overdue [next] re-polls immediately
-    only after a productive pass, and otherwise sleeps a small floor —
+    [next] sleeps until it, to the microsecond; an overdue [next]
+    re-polls immediately only after a productive pass, and otherwise
+    sleeps a small floor —
     an overdue deadline a barren poll could not retire cannot be
     retired until real time advances, and a zero timeout would
     busy-spin on it. Exposed for the regression test. *)

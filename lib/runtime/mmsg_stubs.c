@@ -25,10 +25,12 @@
 #include <caml/threads.h>
 
 #include <errno.h>
+#include <limits.h>
 #include <poll.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #ifdef __linux__
 #include <arpa/inet.h>
@@ -178,25 +180,42 @@ CAMLprim value tw_recvmmsg(value v_fd, value v_ring, value v_slot,
 #endif
 }
 
-/* tw_poll fds revents nfds timeout_ms
+/* tw_poll fds revents nfds timeout_us
  *
  * POLLIN-polls [nfds] descriptors; revents.(i) is set to 1 when
  * descriptor i is readable (or in error/hangup — the subsequent read
  * surfaces the condition), 0 otherwise. Returns the number of ready
  * descriptors, or a negative code. Unlike select(2) there is no
  * FD_SETSIZE cap on descriptor values.
+ *
+ * The timeout is in microseconds. Linux waits with ppoll(2), whose
+ * timespec keeps the deadline exact; elsewhere poll(2) gets it rounded
+ * up to whole milliseconds, so the wait is never shorter than asked.
  */
 CAMLprim value tw_poll(value v_fds, value v_revents, value v_nfds,
-                       value v_timeout_ms)
+                       value v_timeout_us)
 {
-  CAMLparam4(v_fds, v_revents, v_nfds, v_timeout_ms);
+  CAMLparam4(v_fds, v_revents, v_nfds, v_timeout_us);
   long nfds = Long_val(v_nfds);
-  int timeout = Int_val(v_timeout_ms);
+  long timeout_us = Long_val(v_timeout_us);
   struct pollfd stack_pfd[64];
   struct pollfd *pfd = stack_pfd;
   long i;
   int r;
+#ifdef __linux__
+  struct timespec ts;
+#else
+  long wait_ms;
+#endif
 
+  if (timeout_us < 0) timeout_us = 0;
+#ifdef __linux__
+  ts.tv_sec = (time_t)(timeout_us / 1000000);
+  ts.tv_nsec = (long)(timeout_us % 1000000) * 1000;
+#else
+  wait_ms = (timeout_us + 999) / 1000;
+  if (wait_ms > INT_MAX) wait_ms = INT_MAX;
+#endif
   if (nfds > 64) {
     pfd = malloc(sizeof(struct pollfd) * (size_t)nfds);
     if (pfd == NULL) CAMLreturn(Val_int(TW_ERR_OTHER));
@@ -207,7 +226,11 @@ CAMLprim value tw_poll(value v_fds, value v_revents, value v_nfds,
     pfd[i].revents = 0;
   }
   caml_release_runtime_system();
-  r = poll(pfd, (nfds_t)nfds, timeout);
+#ifdef __linux__
+  r = ppoll(pfd, (nfds_t)nfds, &ts, NULL);
+#else
+  r = poll(pfd, (nfds_t)nfds, (int)wait_ms);
+#endif
   caml_acquire_runtime_system();
   for (i = 0; i < nfds; i++)
     Field(v_revents, i) =

@@ -1,11 +1,16 @@
 open Tasim
 
-(* wheel resolution: fine enough that timer slop stays well inside the
-   protocol's scheduling-delay budget sigma, coarse enough that
-   advancing over long idle stretches is cheap *)
-let wheel_tick_us = 500
+(* wheel resolution: a timer fires on the first tick boundary at or
+   after its due time, so the tick is the slop it adds to every
+   wake-up. [Timer_wheel.advance] jumps over empty ticks, so a fine
+   tick costs nothing over long idle stretches; 20 µs is below the
+   kernel's default timer slack (50 µs), which the poll wait adds
+   anyway. *)
+let wheel_tick_us = 20
 
-type 'm ev = Ev_recv of Proc_id.t * 'm | Ev_timer of { key : int; gen : int }
+type 'm ev =
+  | Ev_recv of Proc_id.t * 'm
+  | Ev_timer of { key : int; gen : int; due : Time.t }
 
 let kind_recv = 0
 let kind_timer = 1
@@ -20,6 +25,8 @@ type ('s, 'm, 'obs) t = {
   clock : Clock.t;
   mk_transport : Stats.t -> 'm Transport.t;
   stats : Stats.t;
+  timer_fires : Stats.counter;
+  timer_late_us : Stats.counter;
   wheel : Eventloop.Timer_wheel.t;
   dispatcher : 'm ev Eventloop.Dispatcher.t;
   timers : (int, timer_slot) Hashtbl.t;
@@ -67,7 +74,7 @@ let set_timer t ~key ~at_clock =
       (fun () ->
         slot.wheel_id <- None;
         Eventloop.Dispatcher.post t.dispatcher ~kind:kind_timer
-          (Ev_timer { key; gen }))
+          (Ev_timer { key; gen; due = at_clock }))
   in
   slot.wheel_id <- Some id
 
@@ -96,13 +103,16 @@ let handle t ev =
   match ev with
   | Ev_recv (src, m) ->
     step t (fun s ~clock -> t.automaton.Engine.on_receive s ~clock ~src m)
-  | Ev_timer { key; gen } -> (
+  | Ev_timer { key; gen; due } -> (
     (* a re-arm or cancellation after this fire was posted makes it
        stale: the engine contract is that re-arming replaces any
        pending occurrence *)
     match Hashtbl.find_opt t.timers key with
     | Some slot when slot.gen = gen ->
-      step t (fun s ~clock -> t.automaton.Engine.on_timer s ~clock ~key)
+      step t (fun s ~clock ->
+          Stats.bump t.timer_fires;
+          Stats.bump_by t.timer_late_us (Time.to_us (Time.sub clock due));
+          t.automaton.Engine.on_timer s ~clock ~key)
     | Some _ | None -> Stats.incr t.stats "live:timer-stale")
 
 let create ~automaton ~clock ~mk_transport ?(on_obs = fun _ _ -> ())
@@ -114,6 +124,8 @@ let create ~automaton ~clock ~mk_transport ?(on_obs = fun _ _ -> ())
       clock;
       mk_transport;
       stats;
+      timer_fires = Stats.counter stats "live:sched:timer-fires";
+      timer_late_us = Stats.counter stats "live:sched:timer-late-us";
       wheel = Eventloop.Timer_wheel.create ~tick:wheel_tick_us ();
       dispatcher = Eventloop.Dispatcher.create ();
       timers = Hashtbl.create 16;

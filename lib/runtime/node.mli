@@ -11,7 +11,10 @@
     - [Set_timer]/[Cancel_timer] effects are backed by an
       {!Eventloop.Timer_wheel} keyed by the automaton's timer keys,
       with per-key generations so a re-arm replaces any pending
-      occurrence (the engine's timer contract);
+      occurrence (the engine's timer contract). A timer reaches
+      [on_timer] with a clock reading no earlier than its [at_clock];
+      each such fire counts [live:sched:timer-fires], and
+      [live:sched:timer-late-us] sums how far past [at_clock] it ran;
     - [Send]/[Broadcast] effects go out through a {!Transport};
     - the automaton's hardware-clock readings come from a monotonic
       {!Clock}.

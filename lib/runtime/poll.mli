@@ -12,16 +12,18 @@ type error = [ `Intr | `Error ]
 val wait :
   fds:Unix.file_descr array ->
   revents:int array ->
-  timeout_ms:int ->
+  timeout_us:int ->
   (int, error) result
 (** POLLIN-polls [fds]; sets [revents.(i)] to 1 when [fds.(i)] is
     readable (or errored/hung up), 0 otherwise, and returns the ready
-    count. [revents] must be at least as long as [fds]. A [timeout_ms]
+    count. [revents] must be at least as long as [fds]. A [timeout_us]
     of 0 returns immediately; there is no infinite wait (callers
-    always have a deadline). *)
+    always have a deadline). On Linux the wait is [ppoll(2)] and keeps
+    the microseconds; elsewhere it is [poll(2)] with the timeout
+    rounded up to whole milliseconds. Either way the wait is never
+    shorter than [timeout_us]. *)
 
-val ms_of_span : float -> int
-(** Seconds → milliseconds for [timeout_ms], rounding up so a
-    positive sub-millisecond timeout still sleeps (1ms) rather than
-    busy-spinning — the same guard the select loop's timeout floor
-    provided. Zero stays zero. *)
+val us_of_span : float -> int
+(** Seconds → microseconds for [timeout_us], rounding up so a
+    positive sub-microsecond timeout still sleeps (1 µs) rather than
+    busy-spinning. Zero and negative spans are zero. *)

@@ -201,8 +201,13 @@ let predecessor_in t p ~n =
   in
   probe (Proc_id.predecessor p ~n) (n - 1)
 
+(* members are separated by a plain space, not a break hint: a set
+   never splits across lines. A horizontal box would not do, because
+   Format starts a new line for any box opened past its maximum
+   indentation, which a long prefix such as a timestamped view line
+   reaches. *)
 let pp ppf t =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:sp Proc_id.pp) (to_list t)
+  Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any " ") Proc_id.pp) (to_list t)
 
 (* Mutable accumulator for building a set element by element without
    the per-[add] array copy of the immutable API. A decoder reading a

@@ -223,6 +223,112 @@ let prop_wheel_next_expiry_is_min =
           Eventloop.Timer_wheel.next_expiry w = want)
         ops)
 
+(* [advance] jumps from due tick to due tick. A reference that walks
+   every tick, firing each tick's timers in arming order, must see the
+   same timers fire in the same order and end at the same time, under
+   any mix of arming (some timers re-arm a child from their callback,
+   which may land on the very next tick), cancelling and advancing. *)
+module Tick_walk = struct
+  type timer = { label : int; expiry : int; child : int option }
+
+  type t = {
+    tick : int;
+    mutable current : int;
+    mutable timers : timer list; (* arming order *)
+  }
+
+  let create ~tick = { tick; current = 0; timers = [] }
+
+  let schedule t ~at ~label ~child =
+    let expiry = Stdlib.max ((at + t.tick - 1) / t.tick) (t.current + 1) in
+    t.timers <- t.timers @ [ { label; expiry; child } ]
+
+  let cancel t label =
+    let before = List.length t.timers in
+    t.timers <- List.filter (fun timer -> timer.label <> label) t.timers;
+    List.length t.timers < before
+
+  (* [on_fire] returns the child's label when it arms one *)
+  let advance t ~to_ ~on_fire =
+    let target = to_ / t.tick in
+    while t.current < target do
+      t.current <- t.current + 1;
+      let due, later =
+        List.partition (fun timer -> timer.expiry = t.current) t.timers
+      in
+      t.timers <- later;
+      List.iter
+        (fun timer ->
+          match (on_fire timer.label, timer.child) with
+          | Some label, Some d ->
+            schedule t ~at:((t.current * t.tick) + d) ~label ~child:None
+          | _ -> ())
+        due
+    done
+end
+
+let prop_wheel_jump_matches_tick_walk =
+  QCheck.Test.make ~name:"jumping advance fires as a tick-by-tick walk"
+    QCheck.(
+      list_of_size (Gen.int_range 1 80)
+        (triple (int_range 0 2) (int_range 0 400)
+           (option (int_range (-20) 40))))
+    (fun ops ->
+      let tick = 7 in
+      let w = Eventloop.Timer_wheel.create ~wheel_size:8 ~tick () in
+      let r = Tick_walk.create ~tick in
+      let next_label = ref 0 in
+      let fresh () =
+        let l = !next_label in
+        incr next_label;
+        l
+      in
+      let fired_w = ref [] and fired_r = ref [] in
+      let ids = Hashtbl.create 16 in
+      let rec arm_w ~at ~label ~child =
+        let id =
+          Eventloop.Timer_wheel.schedule w ~at (fun () ->
+              fired_w := label :: !fired_w;
+              Hashtbl.remove ids label;
+              match child with
+              | Some d ->
+                arm_w
+                  ~at:(Eventloop.Timer_wheel.now w + d)
+                  ~label:(label + 10_000) ~child:None
+              | None -> ())
+        in
+        Hashtbl.replace ids label id
+      in
+      List.for_all
+        (fun (op, x, child) ->
+          let now = Eventloop.Timer_wheel.now w in
+          (match op with
+          | 0 ->
+            let label = fresh () in
+            arm_w ~at:(now + x) ~label ~child;
+            Tick_walk.schedule r ~at:(now + x) ~label ~child
+          | 1 -> (
+            let live = Hashtbl.fold (fun l _ acc -> l :: acc) ids [] in
+            match List.sort compare live with
+            | [] -> ()
+            | live ->
+              let label = List.nth live (x mod List.length live) in
+              let id = Hashtbl.find ids label in
+              Hashtbl.remove ids label;
+              let cw = Eventloop.Timer_wheel.cancel w id in
+              let cr = Tick_walk.cancel r label in
+              if cw <> cr then QCheck.Test.fail_report "cancel results differ")
+          | _ ->
+            let to_ = now + x in
+            ignore (Eventloop.Timer_wheel.advance w ~to_);
+            Tick_walk.advance r ~to_ ~on_fire:(fun label ->
+                fired_r := label :: !fired_r;
+                Some (label + 10_000)));
+          !fired_w = !fired_r
+          && Eventloop.Timer_wheel.now w = r.Tick_walk.current * tick
+          && Eventloop.Timer_wheel.pending w = List.length r.Tick_walk.timers)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Threaded dispatcher *)
 
@@ -397,6 +503,7 @@ let () =
           Alcotest.test_case "reentrant" `Quick test_wheel_reentrant_schedule;
           qcheck prop_wheel_all_fire_once;
           qcheck prop_wheel_next_expiry_is_min;
+          qcheck prop_wheel_jump_matches_tick_walk;
         ] );
       ( "threaded",
         [

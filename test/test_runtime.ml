@@ -1280,7 +1280,7 @@ let test_poll_wait () =
       let fds = [| a; b |] in
       let revents = [| 0; 0 |] in
       (* nothing readable: times out with no descriptor marked *)
-      (match Runtime.Poll.wait ~fds ~revents ~timeout_ms:10 with
+      (match Runtime.Poll.wait ~fds ~revents ~timeout_us:10_000 with
       | Ok 0 -> ()
       | Ok n -> Alcotest.failf "expected 0 ready, got %d" n
       | Error _ -> Alcotest.fail "poll errored on idle sockets");
@@ -1291,25 +1291,104 @@ let test_poll_wait () =
       ignore
         (Unix.sendto a payload 0 1 []
            (Unix.ADDR_INET (Unix.inet_addr_loopback, port + 1)));
-      (match Runtime.Poll.wait ~fds ~revents ~timeout_ms:1000 with
+      (match Runtime.Poll.wait ~fds ~revents ~timeout_us:1_000_000 with
       | Ok n -> Alcotest.(check int) "one ready" 1 n
       | Error _ -> Alcotest.fail "poll errored with a datagram pending");
       Alcotest.(check (list int)) "only b readable" [ 0; 1 ]
         (Array.to_list revents);
       (* revents array length is validated *)
       Alcotest.(check bool) "short revents rejected" true
-        (match Runtime.Poll.wait ~fds ~revents:[| 0 |] ~timeout_ms:0 with
+        (match Runtime.Poll.wait ~fds ~revents:[| 0 |] ~timeout_us:0 with
         | _ -> false
         | exception Invalid_argument _ -> true))
 
-let test_poll_ms_of_span () =
-  Alcotest.(check int) "zero span" 0 (Runtime.Poll.ms_of_span 0.0);
-  Alcotest.(check int) "negative span" 0 (Runtime.Poll.ms_of_span (-1.0));
-  (* sub-millisecond spans round UP to the 1 ms floor: the poll loop's
-     anti-busy-spin floor must survive the coarser unit *)
-  Alcotest.(check int) "0.1 ms rounds up" 1 (Runtime.Poll.ms_of_span 0.0001);
-  Alcotest.(check int) "1 ms exact" 1 (Runtime.Poll.ms_of_span 0.001);
-  Alcotest.(check int) "10.4 ms rounds up" 11 (Runtime.Poll.ms_of_span 0.0104)
+let test_poll_us_of_span () =
+  Alcotest.(check int) "zero span" 0 (Runtime.Poll.us_of_span 0.0);
+  Alcotest.(check int) "negative span" 0 (Runtime.Poll.us_of_span (-1.0));
+  (* sub-microsecond spans round UP to 1 us: a positive wait never
+     becomes a zero-timeout poll *)
+  Alcotest.(check int) "0.1 us rounds up" 1 (Runtime.Poll.us_of_span 1e-7);
+  Alcotest.(check int) "1 us exact" 1 (Runtime.Poll.us_of_span 1e-6);
+  Alcotest.(check int) "10.4 us rounds up" 11
+    (Runtime.Poll.us_of_span 10.4e-6);
+  (* every whole-microsecond span the poll loop hands over comes back
+     unchanged, with no extra microsecond from float error *)
+  for us = 0 to 100_000 do
+    let span = Time.to_sec_f (Time.of_us us) in
+    if Runtime.Poll.us_of_span span <> us then
+      Alcotest.failf "%d us came back as %d" us (Runtime.Poll.us_of_span span)
+  done
+
+(* A node's timers, armed at times that fall between wheel ticks, never
+   reach [on_timer] before their due time, and the node's scheduling
+   counters add up what the automaton saw. Each timer re-arms itself
+   once at another odd offset from inside [on_timer]. *)
+let test_node_timers_never_early () =
+  let offsets_us = [ 7; 333; 1_037; 2_513; 4_999; 9_011 ] in
+  let armed = Hashtbl.create 16 in
+  let fires = ref [] in
+  let arm ~key ~at_clock =
+    Hashtbl.replace armed key at_clock;
+    Engine.Set_timer { key; at_clock }
+  in
+  let automaton : (int, int, unit) Engine.automaton =
+    {
+      name = "timers";
+      init =
+        (fun ~self:_ ~n:_ ~clock ~incarnation:_ ->
+          ( 0,
+            List.mapi
+              (fun key off ->
+                arm ~key ~at_clock:(Time.add clock (Time.of_us off)))
+              offsets_us ));
+      on_receive = (fun s ~clock:_ ~src:_ _ -> (s, []));
+      on_timer =
+        (fun s ~clock ~key ->
+          fires := (key, Hashtbl.find armed key, clock) :: !fires;
+          if key < 100 then
+            ( s + 1,
+              [
+                (let off = Time.of_us (List.nth offsets_us key + 11) in
+                 arm ~key:(key + 100) ~at_clock:(Time.add clock off));
+              ] )
+          else (s + 1, []));
+    }
+  in
+  let clock = Clock.create () in
+  let node =
+    Node.create ~automaton ~clock
+      ~mk_transport:(fun stats ->
+        Transport.create ~encode_to:toy_encode ~decode:toy_decode ~self:(pid 0)
+          ~n:1
+          ~port_of:(fun p -> raw_base_port + 48 + Proc_id.to_int p)
+          ~stats ())
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Node.kill node) @@ fun () ->
+  let cluster = Cluster.create ~clock ~nodes:[ node ] in
+  Cluster.start cluster;
+  let want = 2 * List.length offsets_us in
+  let all_fired =
+    Cluster.run_until cluster
+      ~deadline:(Time.add (Clock.now clock) (Time.of_sec 5))
+      (fun () -> List.length !fires = want)
+  in
+  Alcotest.(check bool) "every timer fired" true all_fired;
+  List.iter
+    (fun (key, at_clock, clock) ->
+      if Time.compare clock at_clock < 0 then
+        Alcotest.failf "timer %d fired at %a, before its due time %a" key
+          Time.pp clock Time.pp at_clock)
+    !fires;
+  let stats = Node.stats node in
+  Alcotest.(check int) "timer-fires counts each fire" want
+    (Stats.count stats "live:sched:timer-fires");
+  Alcotest.(check int) "timer-late-us sums clock - at_clock"
+    (List.fold_left
+       (fun acc (_, at_clock, clock) ->
+         acc + Time.to_us (Time.sub clock at_clock))
+       0 !fires)
+    (Stats.count stats "live:sched:timer-late-us")
 
 (* ------------------------------------------------------------------ *)
 (* restart supervisor: backoff shape and the retry loop *)
@@ -1462,8 +1541,13 @@ let () =
         [
           Alcotest.test_case "wait: timeout, readiness, validation" `Quick
             test_poll_wait;
-          Alcotest.test_case "ms_of_span rounds up, clamps at zero" `Quick
-            test_poll_ms_of_span;
+          Alcotest.test_case "us_of_span rounds up, clamps at zero" `Quick
+            test_poll_us_of_span;
+        ] );
+      ( "node",
+        [
+          Alcotest.test_case "timers never fire before they are due" `Quick
+            test_node_timers_never_early;
         ] );
       ( "supervisor",
         [

@@ -263,6 +263,21 @@ let test_proc_set_majority () =
   check Alcotest.bool "2 of 4" false (Proc_set.is_majority (set_of [ 0; 1 ]) ~n:4);
   check Alcotest.bool "3 of 4" true (Proc_set.is_majority (set_of [ 0; 1; 2 ]) ~n:4)
 
+(* a set prints on one line wherever it starts: a long prefix (a
+   timestamped view line, say) never pushes its last members, or the
+   whole set, onto a line of their own *)
+let test_proc_set_pp_one_line () =
+  let set = set_of [ 0; 1; 2; 3; 4 ] in
+  check Alcotest.string "alone" "{p0 p1 p2 p3 p4}"
+    (Fmt.str "%a" Proc_set.pp set);
+  let prefix = String.make 70 'x' in
+  check Alcotest.string "after a long prefix"
+    (prefix ^ " {p0 p1 p2 p3 p4}")
+    (Fmt.str "%s %a" prefix Proc_set.pp set);
+  check Alcotest.string "in a box after a long prefix"
+    (prefix ^ " {p0 p1 p2 p3 p4} #1.0")
+    (Fmt.str "@[<hov 2>%s %a #1.0@]" prefix Proc_set.pp set)
+
 let prop_proc_set_ops_model =
   let gen = QCheck.(pair (list (int_bound 9)) (list (int_bound 9))) in
   QCheck.Test.make ~name:"Proc_set union/inter/diff match list model" gen
@@ -1129,6 +1144,8 @@ let () =
           Alcotest.test_case "invalid" `Quick test_proc_id_invalid;
           Alcotest.test_case "set ring" `Quick test_proc_set_ring;
           Alcotest.test_case "majority" `Quick test_proc_set_majority;
+          Alcotest.test_case "set prints on one line" `Quick
+            test_proc_set_pp_one_line;
           qcheck prop_proc_set_ops_model;
           qcheck prop_successor_in_member;
         ] );
