@@ -703,6 +703,7 @@ let live_perf_cluster_record (r : Harness.Live_perf_bench.cluster_result) =
       ("false_suspicions", Int r.cl_false_suspicions);
       ("timer_fires", Int r.cl_timer_fires);
       ("timer_late_us", Float r.cl_timer_late_us);
+      ("node_words", List (List.map (fun w -> Int w) r.cl_node_words));
     ]
 
 let codec_micro_record row =
@@ -1056,6 +1057,7 @@ let run_live_perf ~quick () =
           "deliv";
           "false susp.";
           "timer late (us)";
+          "node MB";
         ]
   in
   let cluster_row (r : Harness.Live_perf_bench.cluster_result) =
@@ -1067,6 +1069,10 @@ let run_live_perf ~quick () =
         string_of_int r.cl_deliveries;
         string_of_int r.cl_false_suspicions;
         Harness.Table.cell_f r.cl_timer_late_us;
+        String.concat "/"
+          (List.map
+             (fun w -> Fmt.str "%.2f" (float_of_int (w * (Sys.word_size / 8)) /. 1e6))
+             r.cl_node_words);
       ]
   in
   cluster_row cluster_1;
@@ -1075,7 +1081,9 @@ let run_live_perf ~quick () =
     (Fmt.str
        "%d-member group(s), one per domain, steady totally-ordered updates \
         (this machine reports %d core(s)); timer late = mean clock at \
-        on_timer minus due time, per timer fire"
+        on_timer minus due time, per timer fire; node MB = heap reachable \
+        from each shard's nodes after its window (Obj.reachable_words), \
+        without the domain's shared receive ring"
        cluster_1.cl_n
        (Runtime.Cluster.Sharded.recommended ()));
   Harness.Table.print table;

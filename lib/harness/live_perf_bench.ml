@@ -106,6 +106,7 @@ type cluster_result = {
   cl_false_suspicions : int; (* views installed after formation (faultless) *)
   cl_timer_fires : int;
   cl_timer_late_us : float; (* mean per fire *)
+  cl_node_words : int list; (* per shard *)
 }
 
 let form_timeout = Time.of_sec 30
@@ -123,6 +124,7 @@ type shard_outcome = {
   sh_false_suspicions : int;
   sh_timer_fires : int;
   sh_timer_late_us : int; (* summed *)
+  sh_node_words : int;
   sh_batched : bool;
 }
 
@@ -182,6 +184,7 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_false_suspicions = 0;
       sh_timer_fires = 0;
       sh_timer_late_us = 0;
+      sh_node_words = 0;
       sh_batched = batched;
     }
   else begin
@@ -223,6 +226,7 @@ let run_shard ~n ~seconds ~base_port ?batching ~shard () =
       sh_false_suspicions = Hashtbl.length views_after_formation;
       sh_timer_fires = fires_total () - fires_at_formation;
       sh_timer_late_us = late_total () - late_at_formation;
+      sh_node_words = Obj.reachable_words (Obj.repr (Cluster.nodes cluster));
       sh_batched = batched;
     }
   end
@@ -258,4 +262,5 @@ let cluster ?(n = 5) ?(shards = 1) ?(seconds = 2.0) ?(base_port = 49600)
     cl_timer_fires = fires;
     cl_timer_late_us =
       (if fires > 0 then float_of_int late /. float_of_int fires else 0.0);
+    cl_node_words = List.map (fun o -> o.sh_node_words) outcomes;
   }

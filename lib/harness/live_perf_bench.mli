@@ -13,8 +13,9 @@
     independent [n]-member groups, one per OCaml domain
     ({!Runtime.Cluster.Sharded}), each forming a view and then
     sustaining a steady stream of totally-ordered updates. Records
-    formation, deliveries, aggregate frames/s across shards, and — the
-    run being faultless — every post-formation view change as a false
+    formation, deliveries, aggregate frames/s across shards, the heap
+    each shard's members hold after the window, and — the run being
+    faultless — every post-formation view change as a false
     suspicion. Submit→deliver latency of the live group is measured
     once, by the benchmark's [steady] workload ([twbench/]), not
     here. *)
@@ -62,6 +63,11 @@ type cluster_result = {
           timer's due time, in µs ([live:sched:timer-late-us] over
           [cl_timer_fires]); the dispatcher and timer wheel's share of
           every timed step *)
+  cl_node_words : int list;
+      (** per shard, in shard order: the heap words reachable from the
+          shard's node list after its window ([Obj.reachable_words]) —
+          every member's protocol state, timers, stats and transport,
+          but not the domain's shared receive ring *)
 }
 
 val cluster :

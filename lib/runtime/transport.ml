@@ -16,6 +16,13 @@ type kind_counters = {
 type impair_rule = { ir_delay : Time.t; ir_jitter : Time.t; ir_drop : float }
 type held = { h_due : Time.t; h_dst : int; h_frame : Bytes.t }
 
+(* At most this many frames wait in one transport's hold queue; a frame
+   that finds it full is dropped and counted as [live:impair:overflow].
+   Each held frame is a copy of at most one datagram, so this bounds the
+   shim's memory. A 20 ms hold at a few hundred frames/s (the chaos
+   scenarios' impaired links) keeps a few dozen frames inside it. *)
+let held_cap = 1024
+
 (* Outbound frames accumulate here, back to back in [bt_buf], and
    leave in one [sendmmsg] per [flush] (or a sendto loop on the
    fallback path — same frames, same flush points, different syscall
@@ -33,12 +40,34 @@ type batch = {
   bt_writer : Wire.writer;
 }
 
-(* [recvmmsg] ring: datagram [i] of one syscall lands at offset
-   [i * ring_slot]. A slot is 65536 >= the largest UDP datagram, so
-   frames are never truncated; allocated lazily on first batched
-   drain (fallback transports never pay for it). *)
+(* Receive buffers, one set per domain rather than per transport, in
+   domain-local storage like [Codec]'s scratch. [recvmmsg] datagram [i]
+   of one syscall lands at offset [i * ring_slot] of the ring; the
+   portable fallback reads one datagram at a time into its own buffer.
+   A slot is 65536 >= the largest UDP datagram, so frames are never
+   truncated. Each buffer is allocated on its path's first drain in the
+   domain (a fallback-only domain never pays for the ring).
+
+   Sharing is sound because a frame is fully decoded (strings copied
+   out) before its slot is reused, and the transports of one domain
+   drain one at a time. A handler that drained a transport itself would
+   break the second condition — the nested drain would overwrite slots
+   the outer one has not read yet — so [draining_key] marks a drain in
+   progress and a nested one raises. *)
 let ring_slot = 65536
 let ring_vlen = 16
+
+type rx_ring = { rx_slots : Bytes.t; rx_lens : int array }
+
+let rx_ring_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        rx_slots = Bytes.create (ring_vlen * ring_slot);
+        rx_lens = Array.make ring_vlen 0;
+      })
+
+let rx_datagram_key = Domain.DLS.new_key (fun () -> Bytes.create ring_slot)
+let draining_key = Domain.DLS.new_key (fun () -> ref false)
 
 type 'm t = {
   encode_to : sender:Proc_id.t -> 'm -> Wire.writer -> int;
@@ -51,9 +80,6 @@ type 'm t = {
   ports : int array; (* same index; what the sendmmsg stub needs *)
   socket : Unix.file_descr;
   batch : batch;
-  mutable ring : Bytes.t; (* length 0 until the first batched drain *)
-  ring_lens : int array;
-  recv_buf : Bytes.t; (* fallback drain reads into this *)
   stats : Stats.t;
   kinds : (string, kind_counters) Hashtbl.t;
   sent_total : Stats.counter;
@@ -77,7 +103,9 @@ type 'm t = {
   mutable impair_clock : unit -> Time.t;
   impair_rng : Rng.t;
   mutable held : held list; (* newest first; pump sorts the due ones *)
+  mutable held_count : int; (* List.length held, at most held_cap *)
   impair_dropped : Stats.counter;
+  impair_overflow : Stats.counter;
   impair_released : Stats.counter;
   mutable use_mmsg : bool; (* downgrades once on runtime ENOSYS *)
   mutable closed : bool;
@@ -126,9 +154,6 @@ let create ~encode_to ~decode ?(kind_of = fun _ -> "msg") ?batching ~self ~n
         bt_count = 0;
         bt_writer = Wire.writer_into bt_buf ~pos:0;
       };
-    ring = Bytes.create 0;
-    ring_lens = Array.make ring_vlen 0;
-    recv_buf = Bytes.create 65536;
     stats;
     kinds = Hashtbl.create 16;
     sent_total = Stats.counter stats "live:sent";
@@ -151,7 +176,9 @@ let create ~encode_to ~decode ?(kind_of = fun _ -> "msg") ?batching ~self ~n
     (* deterministic per process, like the simulator's seeded streams *)
     impair_rng = Rng.create (0x7731 + Proc_id.to_int self);
     held = [];
+    held_count = 0;
     impair_dropped = Stats.counter stats "live:impair:drop";
+    impair_overflow = Stats.counter stats "live:impair:overflow";
     impair_released = Stats.counter stats "live:impair:released";
     use_mmsg;
     closed = false;
@@ -316,6 +343,7 @@ let route t msg ~off ~len d =
       if Time.compare extra Time.zero <= 0 then begin
         if try_sendto t b.bt_buf ~pos:off ~len d then count_sent t msg len
       end
+      else if t.held_count >= held_cap then Stats.bump t.impair_overflow
       else begin
         (* held frames count as sent now (the kind is only known here);
            [pump] transmits them when due *)
@@ -323,6 +351,7 @@ let route t msg ~off ~len d =
         t.held <-
           { h_due = due; h_dst = d; h_frame = Bytes.sub b.bt_buf off len }
           :: t.held;
+        t.held_count <- t.held_count + 1;
         count_sent t msg len
       end
     end;
@@ -399,10 +428,12 @@ let clear_impairments t =
   if Array.length t.impair_rules > 0 then Array.fill t.impair_rules 0 t.n None;
   t.impair_count <- 0;
   (* in-flight held frames are dropped, as a real link tear-down would *)
-  List.iter (fun _ -> Stats.bump t.impair_dropped) t.held;
-  t.held <- []
+  Stats.bump_by t.impair_dropped t.held_count;
+  t.held <- [];
+  t.held_count <- 0
 
 let impaired t = t.impair_count
+let held t = t.held_count
 
 let next_release t =
   List.fold_left
@@ -419,6 +450,7 @@ let pump t ~now =
       List.partition (fun h -> Time.compare h.h_due now <= 0) t.held
     in
     t.held <- rest;
+    t.held_count <- List.length rest;
     (* [held] is newest-first; reverse then stable-sort by due time so
        same-due frames to one peer keep their send order *)
     let due =
@@ -441,9 +473,9 @@ let drop_counter t (err : Codec.error) =
   | Length_mismatch _ -> t.drop_length_mismatch
   | Malformed _ -> t.drop_malformed
 
-(* One received frame, wherever it landed (recvmmsg ring or fallback
-   receive buffer) — decoded in place; the datagram is fully consumed
-   by [handler] before the buffer window is reused. *)
+(* One received frame, wherever it landed (the domain's recvmmsg ring
+   or its fallback buffer) — decoded in place; the datagram is fully
+   consumed by [handler] before the buffer window is reused. *)
 let handle_frame t ~handler buf ~pos ~len handled =
   match t.decode buf ~pos ~len with
   | Ok (src, msg) ->
@@ -459,22 +491,21 @@ let handle_frame t ~handler buf ~pos ~len handled =
   | Error err -> Stats.bump (drop_counter t err)
 
 let drain_mmsg t ~budget ~handler ~handled ~seen =
-  if Bytes.length t.ring = 0 then
-    t.ring <- Bytes.create (ring_vlen * ring_slot);
+  let ring = Domain.DLS.get rx_ring_key in
   let continue = ref true in
   while !continue && !seen < budget && t.use_mmsg do
     let want = Stdlib.min ring_vlen (budget - !seen) in
     Stats.bump t.sc_recvmmsg;
     match
-      Mmsg.recv_batch t.socket ~ring:t.ring ~slot:ring_slot ~lens:t.ring_lens
-        ~vlen:want
+      Mmsg.recv_batch t.socket ~ring:ring.rx_slots ~slot:ring_slot
+        ~lens:ring.rx_lens ~vlen:want
     with
     | Ok 0 | Error (`Would_block | `Error) -> continue := false
     | Ok got ->
       for i = 0 to got - 1 do
         incr seen;
-        handle_frame t ~handler t.ring ~pos:(i * ring_slot)
-          ~len:t.ring_lens.(i) handled
+        handle_frame t ~handler ring.rx_slots ~pos:(i * ring_slot)
+          ~len:ring.rx_lens.(i) handled
       done;
       (* a short batch means the queue is (momentarily) empty *)
       if got < want then continue := false
@@ -485,10 +516,11 @@ let drain_mmsg t ~budget ~handler ~handled ~seen =
   done
 
 let drain_loop t ~budget ~handler ~handled ~seen =
+  let buf = Domain.DLS.get rx_datagram_key in
   let continue = ref true in
   while !continue && !seen < budget do
     Stats.bump t.sc_recvfrom;
-    match Unix.recvfrom t.socket t.recv_buf 0 (Bytes.length t.recv_buf) [] with
+    match Unix.recvfrom t.socket buf 0 ring_slot [] with
     | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN), _, _) ->
       continue := false
     | exception Unix.Unix_error ((ECONNREFUSED | EINTR), _, _) ->
@@ -496,25 +528,39 @@ let drain_loop t ~budget ~handler ~handled ~seen =
       ()
     | len, _src_addr ->
       incr seen;
-      handle_frame t ~handler t.recv_buf ~pos:0 ~len handled
+      handle_frame t ~handler buf ~pos:0 ~len handled
   done
+
+let drain_unguarded t ~budget ~handler =
+  let handled = ref 0 in
+  let seen = ref 0 in
+  if t.use_mmsg then drain_mmsg t ~budget ~handler ~handled ~seen;
+  (* covers both the fallback mode and a mid-drain ENOSYS downgrade *)
+  if not t.use_mmsg then drain_loop t ~budget ~handler ~handled ~seen;
+  !handled
 
 let drain ?budget t ~handler =
   if t.closed then 0
   else begin
+    let draining = Domain.DLS.get draining_key in
+    if !draining then
+      invalid_arg "Transport.drain: called from inside a drain handler";
     let budget = match budget with Some b -> b | None -> max_int in
-    let handled = ref 0 in
-    let seen = ref 0 in
-    if t.use_mmsg then drain_mmsg t ~budget ~handler ~handled ~seen;
-    (* covers both the fallback mode and a mid-drain ENOSYS downgrade *)
-    if not t.use_mmsg then drain_loop t ~budget ~handler ~handled ~seen;
-    !handled
+    draining := true;
+    match drain_unguarded t ~budget ~handler with
+    | handled ->
+      draining := false;
+      handled
+    | exception e ->
+      draining := false;
+      raise e
   end
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     t.held <- [];
+    t.held_count <- 0;
     (* pending batched frames go down with the process: crash-stop *)
     t.batch.bt_count <- 0;
     t.batch.bt_len <- 0;

@@ -15,8 +15,14 @@
     a reused batch buffer and accumulate until {!flush} (called by the
     node driver at the end of every dispatch pass, and internally on
     buffer pressure), which moves the whole batch with one [sendmmsg];
-    {!drain} fills a preallocated ring with one [recvmmsg] per up-to-16
-    datagrams and decodes frames in place. Where the batched syscalls
+    {!drain} fills a receive ring with one [recvmmsg] per up-to-16
+    datagrams and decodes frames in place. The ring (16 slots of 64 KiB,
+    so no datagram is truncated) and the fallback's one-datagram buffer
+    belong to the domain, not to the transport: every transport a domain
+    drains shares them, so a process's receive buffers do not grow with
+    the number of members it hosts, and each {!Cluster.Sharded} domain
+    has its own. The price is a contract on {!drain}: a handler must not
+    drain a transport. Where the batched syscalls
     are unavailable (non-Linux, runtime [ENOSYS], or [TW_MMSG=0] /
     [~batching:false] forcing the portable path) the same batch is
     walked with a [sendto]/[recvfrom] loop — identical frame bytes and
@@ -95,7 +101,15 @@ val drain : ?budget:int -> 'm t -> handler:(src:Proc_id.t -> 'm -> unit) -> int
     handled. [budget] bounds the datagrams consumed in one call
     (default: unbounded) so one drain cannot starve timers when a peer
     floods the socket. Frames from out-of-range senders or that fail
-    to decode are dropped (and counted). Never blocks. *)
+    to decode are dropped (and counted). Never blocks.
+
+    Frames are decoded straight out of the domain's shared receive
+    buffers, and the next datagram overwrites them, so [handler] must
+    copy out what it keeps (the codec does) and must not drain any
+    transport: a drain from inside a handler raises [Invalid_argument]
+    rather than decode frames the nested drain has overwritten. An
+    exception from [handler] propagates; the frames received with it
+    but not yet handled are lost, as if dropped by the network. *)
 
 val close : 'm t -> unit
 (** Close the socket. Further sends/drains are no-ops; held impaired
@@ -122,7 +136,9 @@ val impair :
     clock the poll loop pumps with. A zero-delay rule sends inline.
     Held frames count as sent (totals and per-kind) when enqueued;
     shim activity is counted under [live:impair:drop] /
-    [live:impair:released]. Re-impairing a destination replaces its
+    [live:impair:released]. At most {!held_cap} frames are held at
+    once; a frame that finds the queue full is dropped, not sent, and
+    counted under [live:impair:overflow]. Re-impairing a destination replaces its
     rule. Randomness is drawn from a per-process deterministic stream.
     Raises [Invalid_argument] on a negative delay/jitter or a [drop]
     outside [0,1]. *)
@@ -138,6 +154,12 @@ val clear_impairments : 'm t -> unit
 
 val impaired : 'm t -> int
 (** Number of destinations currently carrying a rule. *)
+
+val held_cap : int
+(** The hold queue's bound, in frames, across all destinations. *)
+
+val held : 'm t -> int
+(** Frames currently held by the shim, at most {!held_cap}. *)
 
 val pump : 'm t -> now:Time.t -> int
 (** Transmit every held frame whose due time is at or before [now],

@@ -1051,6 +1051,38 @@ let test_impair_edges () =
       Alcotest.(check (list int)) "held frames finally arrive" [ 20; 21 ]
         (toy_recv t1))
 
+(* the hold queue is bounded: frames past [held_cap] are dropped and
+   counted, never queued *)
+let test_hold_queue_cap () =
+  let stats0 = Stats.create () in
+  let t0 = mk_toy_transport ~stats:stats0 ~port:(shim_base_port + 30) (pid 0) in
+  Fun.protect
+    ~finally:(fun () -> Transport.close t0)
+    (fun () ->
+      let now = ref (Time.of_ms 1000) in
+      let delay = Time.of_sec 3600 in
+      Transport.impair t0 ~dst:(pid 1) ~delay ~now:(fun () -> !now) ();
+      let excess = 25 in
+      for m = 1 to Transport.held_cap + excess do
+        Transport.send t0 ~dst:(pid 1) m
+      done;
+      Alcotest.(check int) "held count stops at the cap" Transport.held_cap
+        (Transport.held t0);
+      Alcotest.(check int) "every overflow counted" excess
+        (Stats.count stats0 "live:impair:overflow");
+      Alcotest.(check int) "overflowed frames are not sent" Transport.held_cap
+        (Stats.count stats0 "live:sent");
+      now := Time.add !now delay;
+      Alcotest.(check int) "the held frames release when due"
+        Transport.held_cap (Transport.pump t0 ~now:!now);
+      Alcotest.(check int) "nothing held after the release" 0
+        (Transport.held t0);
+      Transport.send t0 ~dst:(pid 1) 0;
+      Transport.clear_impairments t0;
+      Alcotest.(check int) "clearing drops and counts what is held" 1
+        (Stats.count stats0 "live:impair:drop");
+      Alcotest.(check int) "nothing held after the clear" 0 (Transport.held t0))
+
 (* ------------------------------------------------------------------ *)
 (* batched data plane: the mmsg path and the per-datagram fallback
    must put byte-identical frames on the wire and count identically *)
@@ -1265,6 +1297,225 @@ let test_env_disables_batching () =
     Transport.close t;
     Alcotest.(check bool) "TW_MMSG=0 forces the fallback" false disabled;
     Alcotest.(check bool) "unset re-enables batching" true restored
+  end
+
+(* ------------------------------------------------------------------ *)
+(* the per-domain receive ring: every transport a domain drains reads
+   into the same buffers, so a frame must be wholly decoded before the
+   next drain, and a drain may not nest inside a handler *)
+
+let ring_base_port = 48960
+
+(* sender id, then a payload string the decoder copies out *)
+let str_encode ~sender (m : string) w =
+  Wire.reset w;
+  Wire.int w (Proc_id.to_int sender);
+  Wire.string w m;
+  Wire.pos w
+
+let str_decode buf ~pos ~len =
+  let r = Wire.reader_bytes ~pos ~len buf in
+  let src = Wire.r_int r in
+  let m = Wire.r_string r in
+  Ok (Proc_id.of_int src, m)
+
+let mk_str_transport ?(stats = Stats.create ()) ~batching ~port ~n self =
+  let t =
+    Transport.create ~encode_to:str_encode ~decode:str_decode ~batching ~self
+      ~n
+      ~port_of:(fun p -> port + Proc_id.to_int p)
+      ~stats ()
+  in
+  (* a whole round of frames, the largest datagram among them, waits in
+     the socket before its drain *)
+  Unix.setsockopt_int (Transport.fd t) Unix.SO_RCVBUF (1 lsl 20);
+  t
+
+(* block (up to a second) until [t]'s socket has a datagram *)
+let wait_readable t =
+  let revents = [| 0 |] in
+  ignore
+    (Runtime.Poll.wait ~fds:[| Transport.fd t |] ~revents
+       ~timeout_us:1_000_000)
+
+(* the payload that makes a [str_encode] frame exactly the largest UDP
+   datagram *)
+let max_frame_payload ~sender ~fill =
+  let frame_len payload =
+    let w = Wire.writer () in
+    str_encode ~sender payload w
+  in
+  let probe = String.make Codec.max_frame fill in
+  let overhead = frame_len probe - Codec.max_frame in
+  let payload = String.make (Codec.max_frame - overhead) fill in
+  Alcotest.(check int) "largest frame is the datagram limit" Codec.max_frame
+    (frame_len payload);
+  payload
+
+let ring_receivers = 5
+let ring_rounds = 3
+
+(* more than twice the 16-slot ring per drain *)
+let frames_per_drain = 40
+
+let round_payloads ~sender ~dst ~round =
+  List.init frames_per_drain (fun i ->
+      let tag = Printf.sprintf "r%d-d%d-f%d:" round dst i in
+      if i = frames_per_drain / 2 then
+        let fill = Char.chr (Char.code 'a' + ((round * 7) + dst) mod 26) in
+        let big = max_frame_payload ~sender ~fill in
+        tag ^ String.sub big 0 (String.length big - String.length tag)
+      else tag ^ String.make ((i * 37) mod 200) (Char.chr (Char.code 'A' + dst)))
+
+(* Five receivers and one sender in the calling domain. Each round
+   sends every receiver its own frames, then drains the receivers one
+   after another, starting at a different one each round. Returns, per
+   receiver, what was sent, what arrived (sender, payload) in order,
+   and the recvmmsg syscalls its drains made. *)
+let ring_exchange ~batching ~port =
+  let n = ring_receivers + 1 in
+  let sender_id = pid ring_receivers in
+  let stats = Array.init ring_receivers (fun _ -> Stats.create ()) in
+  let receivers =
+    Array.init ring_receivers (fun i ->
+        mk_str_transport ~stats:stats.(i) ~batching ~port ~n (pid i))
+  in
+  let sender = mk_str_transport ~batching ~port ~n sender_id in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Transport.close receivers;
+      Transport.close sender)
+  @@ fun () ->
+  let sent = Array.make ring_receivers [] in
+  let got = Array.make ring_receivers [] in
+  for round = 0 to ring_rounds - 1 do
+    for d = 0 to ring_receivers - 1 do
+      let payloads = round_payloads ~sender:sender_id ~dst:d ~round in
+      List.iter (fun m -> Transport.send sender ~dst:(pid d) m) payloads;
+      Transport.flush sender;
+      sent.(d) <- sent.(d) @ payloads
+    done;
+    for k = 0 to ring_receivers - 1 do
+      let d = (k + round) mod ring_receivers in
+      let t = receivers.(d) in
+      let want = (round + 1) * frames_per_drain in
+      let tries = ref 50 in
+      while List.length got.(d) < want && !tries > 0 do
+        decr tries;
+        wait_readable t;
+        ignore
+          (Transport.drain t ~handler:(fun ~src m ->
+               got.(d) <- got.(d) @ [ (Proc_id.to_int src, m) ]))
+      done
+    done
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun d st ->
+         (sent.(d), got.(d), Stats.count st "live:syscall:recvmmsg"))
+       stats)
+
+let check_exchange ~batching ~label results =
+  List.iteri
+    (fun d (sent, got, recvmmsg) ->
+      let name what = Printf.sprintf "%s: receiver %d %s" label d what in
+      Alcotest.(check int) (name "frame count")
+        (ring_rounds * frames_per_drain) (List.length got);
+      Alcotest.(check bool) (name "hears only the sender") true
+        (List.for_all (fun (src, _) -> src = ring_receivers) got);
+      Alcotest.(check bool) (name "own frames, byte-identical, in order")
+        true
+        (List.map snd got = sent);
+      if batching then
+        Alcotest.(check bool) (name "drains cross the ring") true
+          (recvmmsg >= ring_rounds * 3))
+    results
+
+let test_shared_ring ~batching () =
+  if batching && not Runtime.Mmsg.supported then ()
+  else
+    let port = ring_base_port + if batching then 0 else 10 in
+    check_exchange ~batching ~label:"one domain"
+      (ring_exchange ~batching ~port)
+
+let test_shared_ring_sharded ~batching () =
+  if batching && not Runtime.Mmsg.supported then ()
+  else
+    let port = ring_base_port + if batching then 20 else 40 in
+    Cluster.Sharded.run ~shards:2 (fun ~shard ->
+        ring_exchange ~batching ~port:(port + (shard * 10)))
+    |> List.iteri (fun shard results ->
+           check_exchange ~batching
+             ~label:(Printf.sprintf "shard %d" shard)
+             results)
+
+let test_nested_drain_raises ~batching () =
+  if batching && not Runtime.Mmsg.supported then ()
+  else begin
+    let port = ring_base_port + if batching then 60 else 65 in
+    let t0 = mk_str_transport ~batching ~port ~n:3 (pid 0) in
+    let t1 = mk_str_transport ~batching ~port ~n:3 (pid 1) in
+    let s = mk_str_transport ~batching ~port ~n:3 (pid 2) in
+    Fun.protect
+      ~finally:(fun () -> List.iter Transport.close [ t0; t1; s ])
+      (fun () ->
+        Transport.send s ~dst:(pid 0) "outer";
+        Transport.send s ~dst:(pid 1) "inner";
+        Transport.flush s;
+        wait_readable t0;
+        wait_readable t1;
+        let nested () =
+          Transport.drain t0 ~handler:(fun ~src:_ _ ->
+              ignore (Transport.drain t1 ~handler:(fun ~src:_ _ -> ())))
+        in
+        Alcotest.(check bool) "a drain inside a handler raises" true
+          (match nested () with
+          | _ -> false
+          | exception Invalid_argument _ -> true);
+        let got = ref [] in
+        ignore (Transport.drain t1 ~handler:(fun ~src:_ m -> got := m :: !got));
+        Alcotest.(check (list string)) "the next drain runs normally"
+          [ "inner" ] !got)
+  end
+
+(* In a fresh domain, the first drain allocates the domain's receive
+   buffer (1 MiB ring batched, one 64 KiB datagram buffer on the
+   fallback); a second transport's first drain reuses it. *)
+let test_ring_allocated_once ~batching () =
+  if batching && not Runtime.Mmsg.supported then ()
+  else begin
+    let port = ring_base_port + if batching then 70 else 75 in
+    let first, second =
+      Domain.join
+        (Domain.spawn (fun () ->
+             let t0 = mk_str_transport ~batching ~port ~n:3 (pid 0) in
+             let t1 = mk_str_transport ~batching ~port ~n:3 (pid 1) in
+             let s = mk_str_transport ~batching ~port ~n:3 (pid 2) in
+             Fun.protect
+               ~finally:(fun () -> List.iter Transport.close [ t0; t1; s ])
+               (fun () ->
+                 Transport.send s ~dst:(pid 0) "a";
+                 Transport.send s ~dst:(pid 1) "b";
+                 Transport.flush s;
+                 wait_readable t0;
+                 wait_readable t1;
+                 let first_drain t =
+                   let before = Gc.allocated_bytes () in
+                   let k = Transport.drain t ~handler:(fun ~src:_ _ -> ()) in
+                   if k <> 1 then Alcotest.failf "drained %d frames, want 1" k;
+                   Gc.allocated_bytes () -. before
+                 in
+                 let first = first_drain t0 in
+                 (first, first_drain t1))))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "the domain's first drain allocates its buffer (%.0f B)"
+         first)
+      true (first >= 65536.0);
+    Alcotest.(check bool)
+      (Printf.sprintf "a second transport's first drain adds %.0f B < 64 KiB"
+         second)
+      true (second < 65536.0)
   end
 
 (* the poll(2) binding under the cluster loop *)
@@ -1525,6 +1776,8 @@ let () =
             test_select_timeout;
           Alcotest.test_case "edges: total loss, jitter-only, clear keeps held"
             `Quick test_impair_edges;
+          Alcotest.test_case "hold queue stops at its cap, overflow counted"
+            `Quick test_hold_queue_cap;
         ] );
       ( "batching",
         [
@@ -1537,6 +1790,26 @@ let () =
           Alcotest.test_case "TW_MMSG=0 forces the fallback" `Quick
             test_env_disables_batching;
         ] );
+      ( "recv ring",
+        List.concat_map
+          (fun (path, batching) ->
+            [
+              Alcotest.test_case
+                ("five transports share one domain's ring, " ^ path)
+                `Quick
+                (test_shared_ring ~batching);
+              Alcotest.test_case ("one ring per shard, " ^ path) `Quick
+                (test_shared_ring_sharded ~batching);
+              Alcotest.test_case ("a drain inside a handler raises, " ^ path)
+                `Quick
+                (test_nested_drain_raises ~batching);
+              Alcotest.test_case
+                ("a second transport's first drain allocates no buffer, "
+                ^ path)
+                `Quick
+                (test_ring_allocated_once ~batching);
+            ])
+          [ ("batched", true); ("fallback", false) ] );
       ( "poll",
         [
           Alcotest.test_case "wait: timeout, readiness, validation" `Quick
